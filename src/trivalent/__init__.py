@@ -28,8 +28,6 @@ from .cycleindex import (
     FactoredCycleIndex,
     all_permutations_factored,
     count_commuting_order_p,
-    cycles_dense,
-    cycles_of_length_dense,
     permutations_of_order_dividing,
 )
 from .diagram import (
@@ -51,14 +49,12 @@ from .diagram import (
 )
 from .census import CensusReport, enumerate_normal, enumerate_size
 from .counting import (
-    SeriesBundle,
     conjugacy_class_series,
     conjugacy_class_series_dense,
     connected_egf,
     disconnected_egf,
     disconnected_egf_by_recurrence,
     disconnected_types_series,
-    series_bundle,
     subgroup_series,
 )
 
@@ -75,8 +71,6 @@ __all__ = [
     "FactoredCycleIndex",
     "all_permutations_factored",
     "count_commuting_order_p",
-    "cycles_dense",
-    "cycles_of_length_dense",
     "permutations_of_order_dividing",
     "BicoloredGraph",
     "Diagram",
@@ -96,13 +90,11 @@ __all__ = [
     "CensusReport",
     "enumerate_normal",
     "enumerate_size",
-    "SeriesBundle",
     "conjugacy_class_series",
     "conjugacy_class_series_dense",
     "connected_egf",
     "disconnected_egf",
     "disconnected_egf_by_recurrence",
     "disconnected_types_series",
-    "series_bundle",
     "subgroup_series",
 ]

@@ -10,7 +10,8 @@ for consumers without big-integer support.  Diagnostics go to stderr.
 
 Exit codes: 0 success (a `decide` answer of false is still success: the
 answer is the payload), 2 usage error, 3 input error, 4 internal invariant
-failure (self-test mismatch).
+failure (self-test mismatch, or a `ValueError` from the pipelines: every
+user-input path raises `InputError` or `DiagramParseError` instead).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from . import census as census_mod
 from . import counting
@@ -41,7 +43,7 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 CACHE_ENV = "TRIVALENT_CACHE_DIR"
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class InputError(Exception):
@@ -53,7 +55,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# coefficient cache (advisory: deleting it never changes output)
+# coefficient cache (advisory: deleting or damaging it never changes output)
 
 
 def _cache_path(kind: str, general: bool) -> str | None:
@@ -62,6 +64,14 @@ def _cache_path(kind: str, general: bool) -> str | None:
         return None
     name = "count-%s%s.json" % (kind, "-general" if general else "")
     return os.path.join(directory, name)
+
+
+def _digest(coefficient_strings) -> str:
+    # imported here: loading it (OpenSSL) took about 5 ms of each cold start
+    # on a 2-core x86 host, and only runs that use the cache need it
+    import hashlib
+
+    return hashlib.sha256("\n".join(coefficient_strings).encode("ascii")).hexdigest()
 
 
 def _load_cached(path: str, kind: str, general: bool):
@@ -75,6 +85,8 @@ def _load_cached(path: str, kind: str, general: bool):
             or data["max"] != len(data["coefficients"])
         ):
             raise ValueError("inconsistent cache fields")
+        if data["sha256"] != _digest(data["coefficients"]):
+            raise ValueError("coefficient digest mismatch")
         return [int(c) for c in data["coefficients"]]
     except FileNotFoundError:
         return None
@@ -87,17 +99,28 @@ def _load_cached(path: str, kind: str, general: bool):
 
 
 def _store_cached(path: str, kind: str, general: bool, coefficients) -> None:
+    strings = [str(c) for c in coefficients]
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "kind": kind,
         "general": general,
-        "max": len(coefficients),
-        "coefficients": [str(c) for c in coefficients],
+        "max": len(strings),
+        "coefficients": strings,
+        "sha256": _digest(strings),
     }
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(payload, handle)
+        # write a temporary file beside the cache, then rename it into place,
+        # so a reader never sees a half-written table
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as handle:
+                json.dump(payload, handle)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:
         print("warning: could not write cache %s (%s)" % (path, exc), file=sys.stderr)
 
@@ -336,8 +359,8 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

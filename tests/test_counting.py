@@ -7,20 +7,19 @@ from fractions import Fraction
 import pytest
 
 from trivalent.counting import (
-    SeriesBundle,
     conjugacy_class_series,
     conjugacy_class_series_dense,
     connected_egf,
     disconnected_egf,
     disconnected_egf_by_recurrence,
     disconnected_types_series,
-    series_bundle,
     subgroup_series,
 )
 from trivalent.reference import (
     CONJUGACY_CLASSES_BY_INDEX,
     SUBGROUPS_BY_INDEX,
 )
+from trivalent.selftest import check_integrality
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -163,14 +162,7 @@ def test_general_dense_route_agrees():
 
 
 def test_integrality_and_nonnegativity():
-    for general in (False, True):
-        for series in (
-            subgroup_series(40, general),
-            conjugacy_class_series(40, general),
-            disconnected_types_series(40, general),
-        ):
-            values = series.integer_coefficients()
-            assert all(v >= 0 for v in values)
+    check_integrality(40)
 
 
 def test_pointing_bounds():
@@ -180,21 +172,3 @@ def test_pointing_bounds():
     classes = conjugacy_class_series(order).integer_coefficients()
     for n in range(1, order + 1):
         assert classes[n] <= pointed[n] <= n * classes[n]
-
-
-def test_series_bundle_cross_links():
-    bundle = series_bundle(14)
-    assert isinstance(bundle, SeriesBundle)
-    assert bundle.connected_egf == bundle.disconnected_egf.log()
-    assert bundle.pointed_types == bundle.connected_egf.euler_operator()
-    assert inverse_euler_transform(bundle.disconnected_types) == bundle.unpointed_types
-    assert euler_transform(bundle.unpointed_types) == bundle.disconnected_types
-    # pointed type counts are n * (labelled connected)/n! * (n-1)!^-1 ... i.e.
-    # coefficient n of pointed equals n times coefficient n of connected EGF
-    for n in range(bundle.order + 1):
-        assert bundle.pointed_types[n] == n * bundle.connected_egf[n]
-
-
-def test_series_bundle_general():
-    bundle = series_bundle(8, general=True)
-    assert bundle.pointed_types.integer_coefficients()[1:4] == [1, 3, 7]

@@ -1,8 +1,8 @@
 """Tests for dense and factored cycle indices.
 
-The brute-force oracles here enumerate permutations directly; the dense
-tables they validate were computed independently of the factored machinery
-under test.
+The brute-force oracles enumerate permutations directly (the commuting-count
+one is shared with `trivalent.selftest`); the dense tables they validate
+were computed independently of the factored machinery under test.
 """
 
 import itertools
@@ -20,10 +20,9 @@ from trivalent.cycleindex import (
     count_commuting_order_p,
     cycle_types,
     cycle_types_up_to,
-    cycles_dense,
-    cycles_of_length_dense,
     permutations_of_order_dividing,
 )
+from trivalent.selftest import brute_commuting, check_commuting_counts
 from trivalent.series import TruncSeries
 
 Q = Fraction
@@ -31,52 +30,6 @@ Q = Fraction
 
 def ct(*pairs):
     return CycleType(pairs)
-
-
-# --- oracles -----------------------------------------------------------------
-
-
-def permutation_of_type(ctype):
-    perm = []
-    for k, m in ctype.pairs:
-        for _ in range(m):
-            start = len(perm)
-            perm.extend(list(range(start + 1, start + k)) + [start])
-    return perm
-
-
-def brute_commuting_order_p(p, ctype):
-    """Count tau with tau^p = id commuting with a permutation of `ctype`."""
-    n = ctype.weight
-    sigma = permutation_of_type(ctype)
-    count = 0
-    for tau in itertools.permutations(range(n)):
-        power = list(range(n))
-        for _ in range(p):
-            power = [tau[i] for i in power]
-        if power != list(range(n)):
-            continue
-        if all(tau[sigma[i]] == sigma[tau[i]] for i in range(n)):
-            count += 1
-    return count
-
-
-def brute_fixed_cyclic(sigma):
-    """Count cyclic permutations c of {0..n-1} with sigma*c*sigma^-1 = c."""
-    n = len(sigma)
-    count = 0
-    for c in itertools.permutations(range(n)):
-        # cyclic = single orbit
-        length = 1
-        j = c[0]
-        while j != 0:
-            j = c[j]
-            length += 1
-        if length != n:
-            continue
-        if all(c[sigma[i]] == sigma[c[i]] for i in range(n)):
-            count += 1
-    return count
 
 
 # --- cycle types -------------------------------------------------------------
@@ -105,65 +58,19 @@ def test_cycle_type_counts_are_partition_numbers():
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
-# --- the cycle species -------------------------------------------------------
-
-
-def test_cycles_dense_small_coefficients():
-    zc = cycles_dense(6)
-    assert zc.coefficient(ct((1, 1))) == 1
-    assert zc.coefficient(ct((2, 1))) == Q(1, 2)
-    # weight-3 cross-check against brute force over all relabelings of S_3:
-    # coefficient of x_1^3 is (#cyclic perms fixed by the identity)/z(1^3).
-    fixed = brute_fixed_cyclic([0, 1, 2])
-    assert fixed == 2
-    assert zc.coefficient(ct((1, 3))) == Q(fixed, ct((1, 3)).centralizer_order())
-    assert zc.coefficient(ct((1, 3))) == Q(1, 3)
-
-
-def test_cycles_dense_full_weight3_against_brute_force():
-    zc = cycles_dense(3)
-    for ctype in cycle_types(3):
-        sigma = permutation_of_type(ctype)
-        expected = Q(brute_fixed_cyclic(sigma), ctype.centralizer_order())
-        assert zc.coefficient(ctype) == expected
-
-
-def test_cycles_of_length_dense():
-    assert cycles_of_length_dense(1).terms == {ct((1, 1)): Q(1)}
-    z3 = cycles_of_length_dense(3)
-    assert z3.terms == {ct((1, 3)): Q(1, 3), ct((3, 1)): Q(2, 3)}
-    z4 = cycles_of_length_dense(4)
-    assert z4.terms == {
-        ct((1, 4)): Q(1, 4),
-        ct((2, 2)): Q(1, 4),
-        ct((4, 1)): Q(2, 4),
-    }
-    # brute-force: 4-cycles fixed by one representative of each class of S_4
-    for ctype in cycle_types(4):
-        fixed = brute_fixed_cyclic(permutation_of_type(ctype))
-        assert z4.coefficient(ctype) == Q(fixed, ctype.centralizer_order())
-
-
-def test_cycles_condense_types_counts_unlabeled_cycles():
-    # one unlabeled cycle per positive size
-    assert cycles_dense(8).condense_types() == TruncSeries(8, [0] + [1] * 8)
-
-
 # --- commuting fixed-point counts ---------------------------------------------
 
 
 def test_commuting_counts_known_values():
     assert count_commuting_order_p(2, ct((1, 4))) == 10
     assert count_commuting_order_p(3, ct((1, 4))) == 9
-    assert count_commuting_order_p(2, ct((5, 1))) == brute_commuting_order_p(2, ct((5, 1)))
+    assert count_commuting_order_p(2, ct((5, 1))) == brute_commuting(2, ct((5, 1)))
     assert count_commuting_order_p(2, ct((5, 1))) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_commuting_counts_against_brute_force(p):
-    for weight in range(8):
-        for ctype in cycle_types(weight):
-            assert count_commuting_order_p(p, ctype) == brute_commuting_order_p(p, ctype), ctype
+    check_commuting_counts(7, primes=(p,))
 
 
 def test_commuting_count_recurrence_matches_double_sum():
@@ -201,6 +108,7 @@ def test_commuting_counts_reject_composite_order():
 
 
 # --- factored cycle indices ---------------------------------------------------
+
 
 
 def test_factored_order2_coefficients():
@@ -269,13 +177,17 @@ def test_all_permutations_factored():
 
 
 def test_condense_labelled():
+    # x_1 := t, x_k := 0 keeps the x_1 factor: a[1][m]/m! are EGF values
+    def labelled(z):
+        return TruncSeries(6, [Q(a, math.factorial(m)) for m, a in enumerate(z.factor(1))])
+
     z2 = permutations_of_order_dividing(2, 6)
     expected = TruncSeries.from_terms(6, {1: 1, 2: Q(1, 2)}).exp()
-    assert z2.condense_labelled() == expected
+    assert labelled(z2) == expected
     z3 = permutations_of_order_dividing(3, 6)
-    assert z3.condense_labelled() == TruncSeries.from_terms(6, {1: 1, 3: Q(1, 3)}).exp()
+    assert labelled(z3) == TruncSeries.from_terms(6, {1: 1, 3: Q(1, 3)}).exp()
     z1 = permutations_of_order_dividing(1, 6)
-    assert z1.condense_labelled() == TruncSeries.from_terms(6, {1: 1}).exp()
+    assert labelled(z1) == TruncSeries.from_terms(6, {1: 1}).exp()
 
 
 # --- dense expansion and Hadamard products ------------------------------------

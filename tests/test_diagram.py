@@ -24,6 +24,7 @@ from trivalent.diagram import (
     pointed_morphism_conflict,
     subgroup_includes,
 )
+from trivalent.selftest import brute_isomorphic
 
 TERMINAL = Diagram([0], [0])                      # one arc: the whole group
 INDEX2 = Diagram([0, 1], [1, 0])                  # the unique index-2 subgroup
@@ -47,19 +48,6 @@ def brute_force_morphism_exists(src, base_src, dst, base_dst):
             images[src.rot[a]] == dst.rot[images[a]]
             and images[src.inv[a]] == dst.inv[images[a]]
             for a in range(n)
-        ):
-            return True
-    return False
-
-
-def brute_force_isomorphic(d1, d2):
-    """Oracle: search all bijections conjugating one diagram to the other."""
-    if d1.n != d2.n:
-        return False
-    for perm in itertools.permutations(range(d1.n)):
-        if all(
-            perm[d1.rot[a]] == d2.rot[perm[a]] and perm[d1.inv[a]] == d2.inv[perm[a]]
-            for a in range(d1.n)
         ):
             return True
     return False
@@ -249,13 +237,13 @@ def test_code_equality_matches_brute_force_isomorphism():
     for d1 in pool:
         for d2 in pool:
             same_code = canonical_code(d1) == canonical_code(d2)
-            assert same_code == brute_force_isomorphic(d1, d2)
+            assert same_code == brute_isomorphic(d1, d2)
 
 
 def test_canonical_representative_is_isomorphic_with_same_code():
     rep = canonical_representative(NORMAL6_B)
     assert canonical_code(rep) == canonical_code(NORMAL6_B)
-    assert brute_force_isomorphic(rep, NORMAL6_B)
+    assert brute_isomorphic(rep, NORMAL6_B)
 
 
 def test_all_basepoint_relabelings_agree_for_cycle3():
