@@ -11,10 +11,18 @@ discovery order from the base arc 0 with generators applied in the fixed
 order [rot, rot^-1, inv], and the search assigns a fresh label exactly when
 the traversal would discover a new arc.  Pointed connected diagrams are
 rigid, so canonical labelings biject with pointed classes and no
-deduplication is needed.  The rotation is maintained as disjoint open
-chains (partial cycles); expanding an arc either closes its chain into a
-cycle, extends it by a fresh arc, or splices in another chain.  The
-trivalent flavor restricts cycle lengths to 1 or 3.
+deduplication is needed.
+
+Expanding arc a runs three stages, rot, rot^-1 and inv, each a pair of
+arrays (fwd, bwd) inverse to each other: (rot, pre), (pre, rot) and
+(inv, inv).  Unset entries are -1, so the partial permutations consist of
+open chains.  Every stage applies one join rule: if fwd[a] is set, move on;
+otherwise walk a's chain in the bwd direction to its far end `start`,
+counting its `length`, and try every b < min(used + 1, n) with bwd[b] unset.
+b == start closes the cycle (for inv: a folded edge), b == used is a fresh
+arc, and any other b splices in another chain.  The trivalent flavor keeps
+cycle lengths at 1 or 3: it never closes a chain of length 2 and never joins
+chains of more than 3 arcs in total (a fresh arc is a chain of length 1).
 
 A naive mode (`count_transitive_pairs`) filters all permutation pairs for
 transitivity; it is exponentially slower and exists solely to validate the
@@ -25,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .diagram import Diagram, canonical_code, canonical_representative, is_normal
 
@@ -34,19 +41,27 @@ CENSUS_CAP_TRIVALENT = 14
 CENSUS_CAP_GENERAL = 10
 
 
-@dataclass(frozen=True)
 class CensusReport:
     """Counts and representatives for one size.
 
     `labelled_connected` is the number of connected labeled structures; by
-    rigidity it equals pointed_classes * (size-1)!.
+    rigidity it equals pointed_classes * (size-1)!.  A report is not a
+    tuple: `perfbench/run.py` reads any tuple result as a CLI
+    (exit code, stdout) pair.
     """
 
-    size: int
-    labelled_connected: int
-    pointed_classes: int
-    unpointed_classes: int
-    class_representatives: tuple = field(default=())
+    __slots__ = ("size", "labelled_connected", "pointed_classes",
+                 "unpointed_classes", "class_representatives")
+
+    def __init__(self, size: int, labelled_connected: int, pointed_classes: int,
+                 unpointed_classes: int, class_representatives: tuple = ()):
+        values = (size, labelled_connected, pointed_classes, unpointed_classes,
+                  class_representatives)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CensusReport is immutable")
 
 
 def pointed_structures(n: int, trivalent: bool = True):
@@ -57,152 +72,55 @@ def pointed_structures(n: int, trivalent: bool = True):
     rot = [-1] * n
     pre = [-1] * n
     inv = [-1] * n
+    stages = ((rot, pre), (pre, rot), (inv, inv))
 
-    def chain_head(a):
-        while pre[a] != -1:
-            a = pre[a]
-        return a
-
-    def chain_tail(a):
-        while rot[a] != -1:
-            a = rot[a]
-        return a
-
-    def chain_len(a):
-        a = chain_head(a)
-        length = 1
-        while rot[a] != -1:
-            a = rot[a]
+    def join(a, stage, used):
+        if stage == 3:
+            a, stage = a + 1, 0
+            if a == used:             # every discovered arc is expanded
+                if used == n:
+                    yield tuple(rot), tuple(inv)
+                return
+        fwd, bwd = stages[stage]
+        if fwd[a] != -1:
+            yield from join(a, stage + 1, used)
+            return
+        start, length = a, 1
+        while bwd[start] != -1:
+            start = bwd[start]
             length += 1
-        return length
-
-    if trivalent:
-        def can_close(length):
-            return length == 1 or length == 3
-
-        def can_grow(length):
-            return length < 3
-    else:
-        def can_close(length):
-            return True
-
-        def can_grow(length):
-            return True
-
-    # The three steps below mirror the traversal: expanding arc a must leave
-    # rot(a), rot^-1(a) and inv(a) defined, assigning fresh labels in the
-    # order the traversal would discover them.
-    def expand(a, used):
-        if a == used:
-            if used == n:
-                yield tuple(rot), tuple(inv)
-            return
-        yield from step_rot(a, used)
-
-    def step_rot(a, used):
-        if rot[a] != -1:
-            yield from step_pre(a, used)
-            return
-        head = chain_head(a)          # a is the tail of its chain
-        length = chain_len(a)
-        if can_close(length):
-            rot[a] = head
-            pre[head] = a
-            yield from step_pre(a, used)
-            rot[a] = -1
-            pre[head] = -1
-        if can_grow(length):
-            if used < n:
-                b = used
-                rot[a] = b
-                pre[b] = a
-                yield from step_pre(a, used + 1)
-                rot[a] = -1
-                pre[b] = -1
-            for b in range(used):     # splice another chain after a
-                if b == a or pre[b] != -1 or chain_head(b) == head:
+        for b in range(min(used + 1, n)):
+            if bwd[b] != -1:
+                continue
+            if b == start:
+                if trivalent and length == 2:
                     continue
-                if trivalent and length + chain_len(b) > 3:
+            elif trivalent:
+                end, total = b, length + 1
+                while fwd[end] != -1:
+                    end = fwd[end]
+                    total += 1
+                if total > 3:
                     continue
-                rot[a] = b
-                pre[b] = a
-                yield from step_pre(a, used)
-                rot[a] = -1
-                pre[b] = -1
+            fwd[a] = b
+            bwd[b] = a
+            yield from join(a, stage + 1, used + (b == used))
+            fwd[a] = -1
+            bwd[b] = -1
 
-    def step_pre(a, used):
-        if pre[a] != -1:
-            yield from step_inv(a, used)
-            return
-        length = chain_len(a)         # a is the head of its chain
-        if length > 1 and can_close(length):
-            tail = chain_tail(a)
-            pre[a] = tail
-            rot[tail] = a
-            yield from step_inv(a, used)
-            pre[a] = -1
-            rot[tail] = -1
-        if can_grow(length):
-            if used < n:
-                b = used
-                pre[a] = b
-                rot[b] = a
-                yield from step_inv(a, used + 1)
-                pre[a] = -1
-                rot[b] = -1
-            for b in range(used):     # splice another chain before a
-                if b == a or rot[b] != -1 or chain_head(b) == a:
-                    continue
-                if trivalent and length + chain_len(b) > 3:
-                    continue
-                pre[a] = b
-                rot[b] = a
-                yield from step_inv(a, used)
-                pre[a] = -1
-                rot[b] = -1
-
-    def step_inv(a, used):
-        if inv[a] != -1:
-            yield from expand(a + 1, used)
-            return
-        inv[a] = a                    # folded edge
-        yield from expand(a + 1, used)
-        inv[a] = -1
-        if used < n:
-            b = used
-            inv[a] = b
-            inv[b] = a
-            yield from expand(a + 1, used + 1)
-            inv[a] = -1
-            inv[b] = -1
-        for b in range(used):
-            if b != a and inv[b] == -1:
-                inv[a] = b
-                inv[b] = a
-                yield from expand(a + 1, used)
-                inv[a] = -1
-                inv[b] = -1
-
-    yield from expand(0, 1)
+    yield from join(0, 0, 1)
 
 
-def _census_cap(trivalent: bool) -> int:
-    return CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
-
-
-def enumerate_size(n: int, trivalent: bool = True, cap: int = None) -> CensusReport:
+def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """Construct all connected diagrams of size n.
 
     Counts pointed classes exactly, deduplicates unpointed classes by
     canonical code, and keeps one canonical representative per class
     (sorted by code).  Raises for sizes beyond the cap.
     """
-    cap = _census_cap(trivalent) if cap is None else cap
+    cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
-        raise ValueError(
-            "census size %d exceeds the cap %d; pass a larger cap explicitly "
-            "if you really want this" % (n, cap)
-        )
+        raise ValueError("census size %d exceeds the cap %d" % (n, cap))
     pointed = 0
     by_code = {}
     for rot, inv in pointed_structures(n, trivalent):
@@ -221,10 +139,10 @@ def enumerate_size(n: int, trivalent: bool = True, cap: int = None) -> CensusRep
     )
 
 
-def enumerate_normal(n: int, trivalent: bool = True, cap: int = None) -> list:
+def enumerate_normal(n: int, trivalent: bool = True) -> list:
     """The unpointed representatives whose automorphism group is
     arc-transitive (normal subgroups of the classified group)."""
-    report = enumerate_size(n, trivalent, cap)
+    report = enumerate_size(n, trivalent)
     return [d for d in report.class_representatives if is_normal(d)]
 
 

@@ -65,11 +65,6 @@ class CycleType:
         raise AttributeError("CycleType is immutable")
 
     @classmethod
-    def from_counts(cls, counts) -> "CycleType":
-        """Build from a vector (k_1, ..., k_n) of multiplicities per length."""
-        return cls((i + 1, m) for i, m in enumerate(counts) if m)
-
-    @classmethod
     def of_permutation(cls, perm) -> "CycleType":
         n = len(perm)
         seen = [False] * n
@@ -89,12 +84,6 @@ class CycleType:
     @property
     def weight(self) -> int:
         return sum(k * m for k, m in self.pairs)
-
-    def multiplicity(self, k: int) -> int:
-        for kk, m in self.pairs:
-            if kk == k:
-                return m
-        return 0
 
     def centralizer_order(self) -> int:
         """prod k^{m_k} m_k!, the order of the centralizer in the symmetric group."""

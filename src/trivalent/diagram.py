@@ -28,7 +28,6 @@ comparable across implementations only if the order matches.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 
@@ -484,8 +483,7 @@ def is_normal(d: Diagram) -> bool:
 # barycentric subdivision export
 
 
-@dataclass(frozen=True)
-class BicoloredGraph:
+class BicoloredGraph(NamedTuple):
     """A bipartite graph with black vertices (from diagram vertices) and
     white vertices (from edges), one graph edge per arc."""
 

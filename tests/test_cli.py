@@ -1,8 +1,11 @@
 """Tests for the command-line interface (run in-process via cli.main)."""
 
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +196,14 @@ def test_census_dot_dump(capsys):
     assert "representatives" not in payload
 
 
+def test_census_listing_bytes_are_pinned(capsys):
+    # the census enumerator may change its search, never its output
+    code, out, _ = run(capsys, "census", "--size", "12", "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "75ef279ce8aeb58b8541e5a594ad0406b8eb1416657a8bbd7dabf1e5600457fe"
+
+
 def test_census_over_cap(capsys):
     code, _, err = run(capsys, "census", "--size", "99")
     assert code == cli.EXIT_INPUT
@@ -368,3 +379,16 @@ def test_selftest_names_first_failing_check(monkeypatch, capsys):
     assert "FAIL reference" in out
     # checks before the failing one still ran and reported
     assert "ok recurrence-order-20" in out
+
+
+# --- startup ----------------------------------------------------------------
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI call pays the import; dataclasses pulls in inspect, ast, dis
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, trivalent.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
