@@ -31,11 +31,11 @@ from .diagram import (
     barycentric_graph,
     canonical_code,
     is_normal,
+    normality_conflict,
     parse_diagram_text,
     pointed_morphism,
     pointed_morphism_conflict,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -249,18 +249,13 @@ def _decide_conjugate(files):
 
 def _decide_normal(files):
     d, _ = _read_diagram_file(files[0])
-    if is_normal(d):
+    conflict = normality_conflict(d)
+    if conflict is None:
         return True, {"automorphism_order": automorphism_order(d)}
-    for a in range(d.n):
-        p0 = PointedDiagram(d, 0)
-        pa = PointedDiagram(d, a)
-        conflict = pointed_morphism_conflict(p0, pa)
-        if conflict is not None:
-            return False, {
-                "unreachable_arc": a,
-                "critical_pair": _conflict_payload(conflict),
-            }
-    raise AssertionError("unreachable: non-normal diagram with no conflict")
+    return False, {
+        "unreachable_arc": conflict.partial_map[0],
+        "critical_pair": _conflict_payload(conflict),
+    }
 
 
 _RELATIONS = {
@@ -290,6 +285,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here, so that no other verb pays for loading the oracle
+    # registry in its start-up time and peak memory
+    from .selftest import run_selftest
+
     ok = run_selftest(full=(args.depth == "full"))
     return EXIT_OK if ok else EXIT_INTERNAL
 

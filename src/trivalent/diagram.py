@@ -21,8 +21,18 @@ decision procedures that make those classifications effective:
 The canonical relabeling traverses arcs breadth-first from a base arc,
 applying generators in the fixed order [rot, rot^-1, inv] (for trivalent
 diagrams rot^-1 = rot^2, so this matches the declared trivalent order
-[rot, rot^2, inv]).  That order is normative for the text format: codes are
-comparable across implementations only if the order matches.
+[rot, rot^2, inv]); the code is the least relabeled pair over all bases,
+comparing the whole rot array before the inv array.  That order is
+normative for the text format: codes are comparable across implementations
+only if the order matches.  The search prunes a base at the first rot entry
+above the best so far, and a full tie with the best base is an automorphism
+whose orbits it skips, so it is near-linear on rigid diagrams.
+
+Automorphisms are pointed maps (d, 0) -> (d, a), and Aut acts freely on the
+arcs, so |Aut| is the size of the orbit of arc 0.  The orbit algorithm grows
+that orbit under the automorphisms found so far and runs a closure only for
+an arc outside it and outside the orbit of an arc whose closure failed: at
+most log2 |Aut| successful closures.
 """
 
 from __future__ import annotations
@@ -383,34 +393,87 @@ def subgroup_includes(p_big: PointedDiagram, p_small: PointedDiagram) -> bool:
 # canonical codes, automorphisms, normality
 
 
-def _relabeling_from(d: Diagram, base: int) -> list:
-    """Labels arcs by breadth-first discovery from `base`, applying
-    generators in the order [rot, rot^-1, inv].  Returns the label array."""
+def _find(parent: list, x: int) -> int:
+    """Root of x's class in a union-find whose roots are the least arcs of
+    their classes (with path compression)."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _merge_orbits(parent: list, perm) -> None:
+    """Join x with perm[x] for every arc, so that the classes of `parent`
+    become the orbits of the group generated by the permutations merged so
+    far; each class keeps its least arc as root."""
+    for x, y in enumerate(perm):
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx < ry:
+            parent[ry] = rx
+        elif ry < rx:
+            parent[rx] = ry
+
+
+def _canonical_form(d: Diagram) -> tuple:
+    """The (rot, inv) pair of the least relabeling over all base arcs.
+
+    Each base is labeled breadth-first with generators [rot, rot^-1, inv];
+    entry i of its relabeled rot array, label[rot[order[i]]], is known as
+    soon as order[i] is expanded, so a base is dropped at the first entry
+    that exceeds the best array so far.  Inv arrays are compared only when
+    the rot arrays tie.  A full tie with the best base is an automorphism
+    best_order[j] -> order[j]; its orbits are merged into a union-find, and
+    a base whose orbit already holds a smaller (hence examined) arc is
+    skipped, since it yields the same arrays.
+    """
+    n = d.n
     rot, rot_inv, inv = d.rot, d.rot_inverse, d.inv
-    label = [-1] * d.n
-    label[base] = 0
-    order = [base]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for g in (rot, rot_inv, inv):
-            y = g[x]
+    label = [-1] * n
+    parent = None  # union-find of the automorphism orbits, once one is found
+    best_rot = best_inv = best_order = None
+    for base in range(n):
+        if parent is not None and _find(parent, base) != base:
+            continue
+        label[base] = 0
+        order = [base]
+        append = order.append
+        new_rot = []
+        tied = best_rot is not None
+        for i, x in enumerate(order):
+            y = rot[x]
+            r = label[y]
+            if r < 0:
+                r = label[y] = len(order)
+                append(y)
+            if tied and r != best_rot[i]:
+                if r > best_rot[i]:
+                    break
+                tied = False
+            new_rot.append(r)
+            y = rot_inv[x]
             if label[y] < 0:
                 label[y] = len(order)
-                order.append(y)
-    return label
-
-
-def _code_tuple(d: Diagram, base: int) -> tuple:
-    label = _relabeling_from(d, base)
-    n = d.n
-    rot_new = [0] * n
-    inv_new = [0] * n
-    for a in range(n):
-        rot_new[label[a]] = label[d.rot[a]]
-        inv_new[label[a]] = label[d.inv[a]]
-    return tuple(rot_new), tuple(inv_new)
+                append(y)
+            y = inv[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                append(y)
+        else:  # no entry exceeded the best: a full pass
+            new_inv = [label[inv[x]] for x in order]
+            if not tied or new_inv < best_inv:
+                best_rot, best_inv, best_order = new_rot, new_inv, order
+            elif new_inv == best_inv:
+                automorphism = [0] * n
+                for x, y in zip(best_order, order):
+                    automorphism[x] = y
+                if parent is None:
+                    parent = list(range(n))
+                _merge_orbits(parent, automorphism)
+        for x in order:
+            label[x] = -1
+    return tuple(best_rot), tuple(best_inv)
 
 
 def _encode(n: int, rot: tuple, inv: tuple) -> bytes:
@@ -421,22 +484,28 @@ def canonical_code(d: Diagram) -> bytes:
     """A complete isomorphism invariant of connected diagrams.
 
     Every base arc induces one relabeling (pointed diagrams are rigid, so it
-    is well defined); the code is the lexicographically least serialization
-    over all base arcs.  Two connected diagrams are isomorphic iff their
-    codes are equal.
+    is well defined): arcs are numbered in breadth-first discovery order from
+    the base, generators applied in the order [rot, rot^-1, inv].  The code
+    is the serialization of the least relabeled pair, comparing the whole
+    rot array first and the inv array only on a tie.  Two connected diagrams
+    are isomorphic iff their codes are equal.
+
+    The search emits each base's rot array one entry at a time and drops the
+    base at the first entry above the best so far, which makes it
+    near-linear on rigid diagrams.  A full tie with the best base is an
+    automorphism outside the group found so far (at most log2 |Aut| of
+    them), and bases in the orbit of an examined base are skipped.
     """
     if not d.is_connected():
         raise ValueError("canonical codes are defined for connected diagrams only")
-    best = min(_code_tuple(d, base) for base in range(d.n))
-    return _encode(d.n, *best)
+    return _encode(d.n, *_canonical_form(d))
 
 
 def canonical_representative(d: Diagram) -> Diagram:
     """The canonically relabeled isomorphic copy of `d` (same code)."""
     if not d.is_connected():
         raise ValueError("canonical form is defined for connected diagrams only")
-    rot, inv = min(_code_tuple(d, base) for base in range(d.n))
-    return Diagram(rot, inv)
+    return Diagram(*_canonical_form(d))
 
 
 def conjugate_subgroups(p1: PointedDiagram, p2: PointedDiagram) -> bool:
@@ -449,7 +518,8 @@ def automorphisms(d: Diagram) -> list:
     """All automorphisms of a connected diagram, as image tuples.
 
     Each arc a with a pointed morphism (d, 0) -> (d, a) contributes exactly
-    one; such a self-map is automatically bijective.
+    one; such a self-map is automatically bijective.  Runs all n closures;
+    it is the reference that `automorphism_order` is tested against.
     """
     if not d.is_connected():
         raise ValueError("automorphisms computed for connected diagrams only")
@@ -461,22 +531,50 @@ def automorphisms(d: Diagram) -> list:
     return maps
 
 
+def _orbit_of_arc_0(d: Diagram, stop_at_failure: bool):
+    """The orbit algorithm for arc 0 under Aut(d).
+
+    Visits the arcs in increasing order and runs the closure of (0, a) only
+    for an arc a that is the least of its class in a union-find of the
+    orbits of the automorphisms found so far: the other arcs share their
+    class with arc 0 (reachable) or with an arc whose closure failed
+    (unreachable too).  Each success adds an automorphism outside the group
+    found so far, so there are at most log2 |Aut| of them.  Returns the
+    union-find and, when `stop_at_failure`, the conflict of the first failed
+    closure, that of the smallest unreachable arc (else None).
+    """
+    if not d.is_connected():
+        raise ValueError("automorphisms and normality are decided for connected diagrams only")
+    parent = list(range(d.n))
+    for a in range(1, d.n):
+        if _find(parent, a) != a:
+            continue
+        m, conflict = _close(d, 0, d, a)
+        if m is not None:
+            _merge_orbits(parent, m)
+        elif stop_at_failure:
+            return parent, conflict
+    return parent, None
+
+
 def automorphism_order(d: Diagram) -> int:
-    """|Aut(d)| for connected d; equals the number of arcs a with
-    (d, 0) = (d, a) as pointed diagrams, because pointed maps are unique."""
-    return len(automorphisms(d))
+    """|Aut(d)| for connected d: the size of the orbit of arc 0, because Aut
+    acts freely on the arcs (pointed maps are unique)."""
+    parent, _ = _orbit_of_arc_0(d, stop_at_failure=False)
+    return sum(1 for x in range(d.n) if _find(parent, x) == 0)
+
+
+def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
+    """None when d is normal; otherwise the conflict of the closure of
+    (0, a) for the smallest arc a that no automorphism reaches from arc 0
+    (a is the conflict's partial_map[0])."""
+    return _orbit_of_arc_0(d, stop_at_failure=True)[1]
 
 
 def is_normal(d: Diagram) -> bool:
     """True iff Aut(d) is transitive on arcs = the classified conjugacy class
     consists of a single normal subgroup."""
-    if not d.is_connected():
-        raise ValueError("normality is decided for connected diagrams only")
-    for a in range(d.n):
-        m, _ = _close(d, 0, d, a)
-        if m is None:
-            return False
-    return True
+    return normality_conflict(d) is None
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,155 @@ def check_canonical_codes(rng, sizes, relabelings):
                           % size)
 
 
+def brute_relabeling(d, base):
+    """Labels arcs by breadth-first discovery from `base`, applying
+    generators in the order [rot, rot^-1, inv].  Returns the label array."""
+    rot, rot_inv, inv = d.rot, d.rot_inverse, d.inv
+    label = [-1] * d.n
+    label[base] = 0
+    order = [base]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for g in (rot, rot_inv, inv):
+            y = g[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+    return label
+
+
+def brute_code_tuple(d, base):
+    """The (rot, inv) pair of `d` relabeled from `base`, built in full."""
+    label = brute_relabeling(d, base)
+    rot_new = [0] * d.n
+    inv_new = [0] * d.n
+    for a in range(d.n):
+        rot_new[label[a]] = label[d.rot[a]]
+        inv_new[label[a]] = label[d.inv[a]]
+    return tuple(rot_new), tuple(inv_new)
+
+
+def brute_canonical_form(d):
+    """The least relabeled pair over all bases, with no pruning or skipping."""
+    return min(brute_code_tuple(d, base) for base in range(d.n))
+
+
+def random_trivalent(rng, n, attempts=1000):
+    """A random connected trivalent diagram on n arcs: up to a few degree-1
+    vertices and folded edges, everything else 3-cycles and paired arcs."""
+    for _ in range(attempts):
+        arcs = list(range(n))
+        rng.shuffle(arcs)
+        fixed = n % 3 + 3 * rng.randrange(min(2, n // 3) + 1)
+        rot = list(range(n))
+        for i in range(fixed, n, 3):
+            a, b, c = arcs[i:i + 3]
+            rot[a], rot[b], rot[c] = b, c, a
+        rng.shuffle(arcs)
+        folded = n % 2 + 2 * rng.randrange(min(2, n // 2) + 1)
+        inv = list(range(n))
+        for i in range(folded, n, 2):
+            a, b = arcs[i:i + 2]
+            inv[a], inv[b] = b, a
+        d = diagram.Diagram(rot, inv, require_trivalent=True)
+        if d.is_connected():
+            return d
+    raise SelfTestFailure("no connected trivalent diagram on %d arcs in %d attempts"
+                          % (n, attempts))
+
+
+def psl2_regular(p):
+    """The regular diagram of PSL2(F_p): arcs are the group elements, inv is
+    right multiplication by S = [[0,-1],[1,0]] and rot by ST = [[0,-1],[1,1]].
+    It is normal with p(p^2-1)/2 arcs."""
+
+    def times(m, g):
+        a, b, c, d = m
+        e, f, h, k = g
+        prod = ((a * e + b * h) % p, (a * f + b * k) % p,
+                (c * e + d * h) % p, (c * f + d * k) % p)
+        return min(prod, tuple(-x % p for x in prod))  # modulo -I
+
+    s, st = (0, p - 1, 1, 0), (0, p - 1, 1, 1)
+    elements = [(1, 0, 0, 1)]
+    index = {elements[0]: 0}
+    for m in elements:
+        for g in (s, st):
+            y = times(m, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    inv = [index[times(m, s)] for m in elements]
+    rot = [index[times(m, st)] for m in elements]
+    return diagram.Diagram(rot, inv, require_trivalent=True)
+
+
+def random_cover(d, sheets, rng, attempts=100):
+    """A random connected `sheets`-fold cover of d: arc a*sheets + i is arc a
+    on sheet i; rot lifts sheet by sheet and inv through a random sheet
+    permutation per edge (the identity on a folded edge), so a -> a // sheets
+    is a morphism onto d."""
+    for _ in range(attempts):
+        lift = [None] * d.n
+        for a in range(d.n):
+            b = d.inv[a]
+            if lift[a] is None:
+                perm = list(range(sheets))
+                if b != a:
+                    rng.shuffle(perm)
+                lift[a] = perm
+                lift[b] = [0] * sheets
+                for i, j in enumerate(perm):
+                    lift[b][j] = i
+        rot = [d.rot[a] * sheets + i for a in range(d.n) for i in range(sheets)]
+        inv = [d.inv[a] * sheets + lift[a][i] for a in range(d.n) for i in range(sheets)]
+        cover = diagram.Diagram(rot, inv)
+        if cover.is_connected():
+            return cover
+    raise SelfTestFailure("no connected %d-fold cover in %d attempts" % (sheets, attempts))
+
+
+def check_canonical_search(rng, sizes, relabelings):
+    """The pruned canonical-code search against the exhaustive oracle, on a
+    random connected trivalent diagram of each size, on the regular diagrams
+    of PSL2(F_5) and PSL2(F_7) and a 2-fold cover of the first, and on
+    `relabelings` random relabelings of each."""
+    pool = [random_trivalent(rng, n) for n in sizes]
+    pool += [psl2_regular(5), psl2_regular(7)]
+    pool.append(random_cover(pool[-2], 2, rng))
+    for d in pool:
+        rot, inv = brute_canonical_form(d)
+        expected = "%d;%s;%s" % (d.n, ",".join(map(str, rot)), ",".join(map(str, inv)))
+        for copy in [d] + [d.relabel(rng.sample(range(d.n), d.n))
+                           for _ in range(relabelings)]:
+            if diagram.canonical_code(copy) != expected.encode("ascii"):
+                _fail("canonical-search", "code differs from the oracle at n=%d" % d.n)
+            if diagram.canonical_representative(copy) != diagram.Diagram(rot, inv):
+                _fail("canonical-search",
+                      "representative differs from the oracle at n=%d" % d.n)
+
+
+def check_automorphism_orbits(diagrams):
+    """The orbit algorithm against the exhaustive automorphism list: |Aut|,
+    normality, and the smallest arc no automorphism reaches from arc 0."""
+    for d in diagrams:
+        maps = diagram.automorphisms(d)
+        order = diagram.automorphism_order(d)
+        if order != len(maps):
+            _fail("automorphism-orbits", "|Aut| %d, exhaustively %d at n=%d"
+                  % (order, len(maps), d.n))
+        if diagram.is_normal(d) != (order == d.n):
+            _fail("automorphism-orbits", "normality disagrees with |Aut| at n=%d" % d.n)
+        unreachable = sorted(set(range(d.n)) - {m[0] for m in maps})
+        conflict = diagram.normality_conflict(d)
+        found = None if conflict is None else conflict.partial_map[0]
+        if found != (unreachable[0] if unreachable else None):
+            _fail("automorphism-orbits", "unreachable arc %r, exhaustively %r at n=%d"
+                  % (found, unreachable[:1], d.n))
+
+
 def check_integrality(order):
     """Every type-series coefficient, both flavors, is a nonnegative integer."""
     for general in (False, True):
@@ -228,6 +377,10 @@ def run_selftest(full: bool, report=print) -> bool:
         ("normal-structure", check_normal_structure),
         ("commuting-counts-weight-5", lambda: check_commuting_counts(5)),
         ("canonical-codes", lambda: check_canonical_codes(random.Random(1729), (5, 6, 7), 5)),
+        ("canonical-search", lambda: check_canonical_search(random.Random(4181), (12, 60, 240, 600), 1)),
+        ("automorphism-orbits", lambda: check_automorphism_orbits(
+            list(census.enumerate_size(7).class_representatives)
+            + [psl2_regular(5), random_cover(psl2_regular(5), 2, random.Random(6765))])),
     ]
     if full:
         checks += [

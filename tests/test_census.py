@@ -17,9 +17,11 @@ from trivalent.diagram import (
     automorphism_order,
     automorphisms,
     canonical_code,
+    canonical_representative,
     is_normal,
     parse_diagram_text,
 )
+from trivalent.selftest import brute_canonical_form, brute_relabeling
 
 # pointed and unpointed class counts per size, from the exhaustive tables
 TRIVALENT_POINTED = [1, 1, 4, 8, 5, 22, 42, 40, 120]
@@ -80,9 +82,8 @@ def test_structures_are_canonically_labeled_and_distinct(trivalent):
             d = Diagram(rot, inv, require_trivalent=trivalent)
             assert d.is_connected()
             # labels must equal breadth-first discovery order from arc 0
-            from trivalent.diagram import _relabeling_from
-
-            assert _relabeling_from(d, 0) == list(range(n))
+            assert brute_relabeling(d, 0) == list(range(n))
+            assert canonical_representative(d) == Diagram(*brute_canonical_form(d))
 
 
 def test_representatives_properties():

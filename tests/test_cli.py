@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -297,6 +298,37 @@ def test_decide_isomorphic(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["result"] is False
     assert payload["witness"]["sizes"] == [5, 1]
+
+
+def _decide_pin_inputs():
+    from trivalent import selftest
+
+    rng = random.Random(610)
+    rigid = selftest.random_trivalent(rng, 600)
+    return {
+        "rigid": rigid,
+        "rigid_relabeled": rigid.relabel(rng.sample(range(600), 600)),
+        "psl2_7": selftest.psl2_regular(7),
+        "cover": selftest.random_cover(selftest.psl2_regular(5), 2, random.Random(6765)),
+    }
+
+
+@pytest.mark.parametrize("relation, names, digest", [
+    ("conjugate", ("rigid", "rigid_relabeled"),
+     "2d41bef8125de6d27a0d3456e281894fd07413868ca03a9d0e97413dd4bf5fd9"),
+    ("normal", ("psl2_7",),
+     "09647850bd07271556450197b8642518e38e442cb15a31e460260abcbf4e644f"),
+    ("normal", ("cover",),
+     "56298e15f4b5c34c749b6cce65c045327bbf495a4d83b50c3b6d26a0f84c7a2f"),
+])
+def test_decide_output_bytes_are_pinned(tmp_path, capsys, relation, names, digest):
+    # the canonical-code search and the orbit algorithm may change, never
+    # the output; the inputs come from the seeded builders of the selftest
+    inputs = _decide_pin_inputs()
+    paths = [write(tmp_path, name + ".diag", inputs[name].to_text()) for name in names]
+    code, out, _ = run(capsys, "decide", relation, *paths)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_decide_requires_base_for_pointed_relations(tmp_path, capsys):

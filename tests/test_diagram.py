@@ -18,12 +18,15 @@ from trivalent.diagram import (
     canonical_representative,
     conjugate_subgroups,
     is_normal,
+    normality_conflict,
     parse_diagram_text,
     pointed_isomorphic,
     pointed_morphism,
     pointed_morphism_conflict,
     subgroup_includes,
 )
+from trivalent import selftest
+from trivalent.census import enumerate_size
 from trivalent.selftest import brute_isomorphic
 
 TERMINAL = Diagram([0], [0])                      # one arc: the whole group
@@ -248,11 +251,13 @@ def test_canonical_representative_is_isomorphic_with_same_code():
 
 def test_all_basepoint_relabelings_agree_for_cycle3():
     # |Aut| = 3: every basepoint yields the same relabeled pair
-    from trivalent.diagram import _code_tuple
-
-    codes = {_code_tuple(CYCLE3, base) for base in range(3)}
+    codes = {selftest.brute_code_tuple(CYCLE3, base) for base in range(3)}
     assert len(codes) == 1
     assert automorphism_order(CYCLE3) == 3
+
+
+def test_canonical_search_matches_exhaustive_oracle():
+    selftest.check_canonical_search(random.Random(2584), (1, 2, 4, 9, 14, 100, 600), 2)
 
 
 # --- automorphisms and normality --------------------------------------------------
@@ -297,6 +302,28 @@ def test_normality_equals_full_automorphism_orbit():
     for d in (TERMINAL, INDEX2, CYCLE3, NORMAL6_A, NORMAL6_B,
               Diagram([1, 2, 0], [0, 2, 1]), Diagram([1, 2, 0, 3], [3, 1, 2, 0])):
         assert is_normal(d) == (automorphism_order(d) == d.n)
+
+
+@pytest.mark.parametrize("flavor, max_size", [("trivalent", 9), ("general", 7)])
+def test_orbit_algorithm_on_census_representatives(flavor, max_size):
+    selftest.check_automorphism_orbits([
+        d
+        for n in range(1, max_size + 1)
+        for d in enumerate_size(n, trivalent=flavor == "trivalent").class_representatives
+    ])
+
+
+def test_orbit_algorithm_on_psl2_diagrams_and_a_cover():
+    psl5, psl7 = selftest.psl2_regular(5), selftest.psl2_regular(7)
+    cover = selftest.random_cover(psl5, 2, random.Random(6765))
+    selftest.check_automorphism_orbits([psl5, psl7, cover])
+    assert (psl5.n, psl7.n) == (60, 168)
+    assert automorphism_order(psl5) == 60 and is_normal(psl5)
+    assert automorphism_order(psl7) == 168 and is_normal(psl7)
+    assert cover.n == 120 and not is_normal(cover)
+    # arc 1 lies in the orbit of arc 0, so the first closure that fails is at arc 2
+    assert automorphism_order(cover) == 2
+    assert normality_conflict(cover).partial_map[0] == 2
 
 
 def test_conjugate_subgroups_examples():
