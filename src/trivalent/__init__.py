@@ -6,30 +6,24 @@ involution.
 The main entry points:
 
 - `series`: exact truncated power series and the Euler/Moebius transforms;
-- `cycleindex`: cycle index series, dense and separable-factored;
+- `cycleindex`: cycle types and the commuting fixed-point counts that make
+  up the factored cycle indices;
 - `diagram`: the diagram data model and its decision procedures
   (morphism existence, isomorphism, conjugacy, normality);
 - `census`: exhaustive brute-force enumeration at small size;
 - `counting`: the generating-series pipelines (subgroup counts, conjugacy
-  class counts, dense and fast routes);
+  class counts by the fast factored route and by the dense Burnside
+  oracle);
 - `cli`: the `trivalent` command-line tool.
 """
 
 from .series import (
     TruncSeries,
-    euler_phi,
     euler_transform,
     inverse_euler_transform,
     moebius_mu,
 )
-from .cycleindex import (
-    CycleType,
-    DenseCycleIndex,
-    FactoredCycleIndex,
-    all_permutations_factored,
-    count_commuting_order_p,
-    permutations_of_order_dividing,
-)
+from .cycleindex import CycleType, count_commuting_order_p
 from .diagram import (
     BicoloredGraph,
     Diagram,
@@ -62,16 +56,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncSeries",
-    "euler_phi",
     "euler_transform",
     "inverse_euler_transform",
     "moebius_mu",
     "CycleType",
-    "DenseCycleIndex",
-    "FactoredCycleIndex",
-    "all_permutations_factored",
     "count_commuting_order_p",
-    "permutations_of_order_dividing",
     "BicoloredGraph",
     "Diagram",
     "DiagramParseError",

@@ -346,6 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # coefficients pass Python's 4300-digit limit on int/str conversion near
+    # index 7400; lift it for this call only and restore the caller's value
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -360,6 +365,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: internal: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ rigid, applying t·d/dt and reading ordinary coefficients counts pointed
 types, i.e. subgroups by index.
 
 Unpointed types need cycle indices.  The dense route (validation only,
-weights <= 24) expands the Hadamard product of the two cycle indices,
-condenses x_k := t^k and Moebius-inverts.  The fast route exploits that both
-cycle indices separate; writing the condensation as a product over k of
-series in t^k turns the whole computation into one short log per k:
+weights <= 24) is Burnside's lemma: the isomorphism types of size n number
+sum fix(lambda)/z(lambda) over the cycle types lambda of weight n, where
+fix(lambda) counts the structures a permutation of type lambda fixes and
+z(lambda) is its centralizer order; Moebius inversion then keeps the
+connected types.  The fast route exploits that both cycle indices separate;
+writing the condensation x_k := t^k as a product over k of series in t^k
+turns the whole computation into one short log per k:
 
     sum_{r>=1} mu(r)/r · sum_{k>=1} log( sum_n c[k][n] t^{r k n} )
 
@@ -48,9 +51,10 @@ from .series import (
 )
 from .cycleindex import (
     DENSE_WEIGHT_CAP,
-    all_permutations_factored,
+    CycleType,
     commuting_order_p_counts,
-    permutations_of_order_dividing,
+    count_commuting_order_p,
+    cycle_types_up_to,
 )
 
 _ZERO = Fraction(0)
@@ -130,15 +134,16 @@ def _condensed_column(k: int, n_max: int, general: bool) -> list:
 
 def disconnected_types_series(order: int, general: bool = False) -> TruncSeries:
     """Isomorphism types of not-necessarily-connected structures: the
-    condensed (x_k := t^k) Hadamard product of the two cycle indices,
-    computed on the factored forms."""
-    z2 = permutations_of_order_dividing(2, order)
-    other = (
-        all_permutations_factored(order)
-        if general
-        else permutations_of_order_dividing(3, order)
-    )
-    result = z2.hadamard(other).condense_types()
+    condensed (x_k := t^k) Hadamard product of the two cycle indices, i.e.
+    the product over k of the condensed columns as series in t^k."""
+    coeffs = [Fraction(1)] + [_ZERO] * order
+    for k in range(1, order + 1):
+        column = _condensed_column(k, order // k, general)
+        # multiply by sum_m column[m] t^{km} in place; column[0] == 1, and
+        # going down leaves the lower coefficients unchanged until read
+        for i in range(order, k - 1, -1):
+            coeffs[i] += sum(column[m] * coeffs[i - k * m] for m in range(1, i // k + 1))
+    result = TruncSeries(order, coeffs)
     result.integer_coefficients()
     return result
 
@@ -163,21 +168,30 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
     return result
 
 
+def _burnside_term(ctype: CycleType, general: bool) -> Fraction:
+    """fix(lambda)/z(lambda) for the cycle type lambda: a permutation fixes a
+    structure when it commutes with both of its permutations, so fix is
+    fix_2·fix_3.  In the general flavor the second permutation is arbitrary
+    and z of them commute with a permutation of type lambda, so fix is
+    fix_2·z and the term is just fix_2."""
+    fixed = count_commuting_order_p(2, ctype)
+    if general:
+        return Fraction(fixed)
+    return Fraction(fixed * count_commuting_order_p(3, ctype), ctype.centralizer_order())
+
+
 def conjugacy_class_series_dense(order: int, general: bool = False) -> TruncSeries:
-    """Same as `conjugacy_class_series`, by the dense partition-indexed
-    route; only available up to the dense weight cap, for cross-validation."""
+    """Same as `conjugacy_class_series`, by Burnside's lemma summed over every
+    cycle type of weight <= order; only available up to the dense weight cap,
+    for cross-validation."""
     if order > DENSE_WEIGHT_CAP:
         raise ValueError(
             "dense route capped at order %d (got %d); use conjugacy_class_series"
             % (DENSE_WEIGHT_CAP, order)
         )
-    z2 = permutations_of_order_dividing(2, order).to_dense(order)
-    other = (
-        all_permutations_factored(order)
-        if general
-        else permutations_of_order_dividing(3, order)
-    ).to_dense(order)
-    types = z2.hadamard(other).condense_types()
-    result = inverse_euler_transform(types)
+    types = [_ZERO] * (order + 1)
+    for ctype in cycle_types_up_to(order):
+        types[ctype.weight] += _burnside_term(ctype, general)
+    result = inverse_euler_transform(TruncSeries(order, types))
     result.integer_coefficients()
     return result

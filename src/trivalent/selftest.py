@@ -19,8 +19,8 @@ import time
 from fractions import Fraction
 
 from . import census, counting, diagram, reference
-from .cycleindex import count_commuting_order_p, cycle_types
-from .series import TruncSeries, euler_phi, euler_transform, inverse_euler_transform, moebius_mu
+from .cycleindex import count_commuting_order_p, cycle_types, cycle_types_up_to
+from .series import TruncSeries, euler_transform, inverse_euler_transform, moebius_mu
 
 
 class SelfTestFailure(Exception):
@@ -49,9 +49,6 @@ def check_series_roundtrips(rng, cases, max_order):
 
 def check_number_theory(max_n):
     for n in range(1, max_n + 1):
-        tot = sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0)
-        if tot != n:
-            _fail("number-theory", "totient divisor sum wrong at %d" % n)
         ms = sum(moebius_mu(d) for d in range(1, n + 1) if n % d == 0)
         if ms != (1 if n == 1 else 0):
             _fail("number-theory", "moebius divisor sum wrong at %d" % n)
@@ -62,11 +59,26 @@ def check_recurrence(order):
         _fail("recurrence", "recurrence and closed form disagree at order %d" % order)
 
 
-def check_dense_vs_fast(order):
-    dense = counting.conjugacy_class_series_dense(order)
-    fast = counting.conjugacy_class_series(order)
+def check_dense_vs_fast(order, general=False):
+    dense = counting.conjugacy_class_series_dense(order, general)
+    fast = counting.conjugacy_class_series(order, general)
     if dense != fast:
-        _fail("dense-vs-fast", "pipelines disagree at order %d" % order)
+        _fail("dense-vs-fast", "pipelines disagree at order %d%s"
+              % (order, " (general)" if general else ""))
+
+
+def check_column_normalisation(max_weight):
+    """The fast route's k^m·m! normalisation against the centralizer order:
+    for every cycle type of weight <= max_weight, both flavors, the product
+    of its condensed column entries is the dense oracle's Burnside term."""
+    for general in (False, True):
+        for ctype in cycle_types_up_to(max_weight):
+            product = Fraction(1)
+            for k, m in ctype.pairs:
+                product *= counting._condensed_column(k, m, general)[m]
+            if product != counting._burnside_term(ctype, general):
+                _fail("column-normalisation", "%r%s: columns give %s"
+                      % (ctype, " (general)" if general else "", product))
 
 
 def check_reference(order):
@@ -372,6 +384,8 @@ def run_selftest(full: bool, report=print) -> bool:
         ("number-theory", lambda: check_number_theory(2000)),
         ("recurrence-order-20", lambda: check_recurrence(20)),
         ("dense-vs-fast-order-20", lambda: check_dense_vs_fast(20)),
+        ("dense-vs-fast-general-order-12", lambda: check_dense_vs_fast(12, general=True)),
+        ("column-normalisation-weight-8", lambda: check_column_normalisation(8)),
         ("reference-order-20", lambda: check_reference(20)),
         ("census-to-size-8", lambda: check_census(8)),
         ("normal-structure", check_normal_structure),

@@ -10,9 +10,9 @@ exp and log are computed by the usual first-order ODE recurrences on
 coefficients (g' = f'·g and l'·f = f'), which cost O(N^2) rational
 operations.  That is entirely adequate for truncation orders in the
 hundreds, which is as far as this package ever pushes a dense series.  The
-recurrences live in one pair of coefficient-list functions, which the
-counting pipelines and the cycle-index expansion call on compressed lists
-as well.
+recurrences live in one pair of coefficient-list functions: `TruncSeries`
+and the Euler transforms call both, and the class-count route also calls
+the log on each compressed cycle-index column.
 """
 
 from __future__ import annotations
@@ -263,24 +263,6 @@ def inverse_euler_transform(g: TruncSeries) -> TruncSeries:
     if g.coeffs[0] != 1:
         raise ValueError("inverse_euler_transform requires constant term 1")
     return TruncSeries(g.order, _power_sum(g.log().coeffs, moebius_sieve(g.order)))
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient."""
-    if n < 1:
-        raise ValueError("euler_phi is defined for n >= 1, got %d" % n)
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def moebius_mu(n: int) -> int:

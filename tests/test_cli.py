@@ -95,6 +95,34 @@ def test_internal_value_error_exits_4(monkeypatch, capsys):
     assert err.startswith("error: internal: ")
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_coefficients_past_4300_digits(tmp_path, monkeypatch, capsys, cached):
+    # the index-7400 coefficients pass Python's default int/str digit limit;
+    # the digits are built without str(), which that limit would refuse
+    from trivalent import counting
+    from trivalent.series import TruncSeries
+
+    digits = "7" + "0" * 4998 + "3"
+    calls = []
+
+    def subgroup_series(order, general=False):
+        calls.append(order)
+        return TruncSeries(order, [0, 7 * 10**4999 + 3])
+
+    monkeypatch.setattr(counting, "subgroup_series", subgroup_series)
+    if cached:
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for _ in range(2):
+        code, out, err = run(capsys, "count", "pointed", "--max", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["coefficients"] == [digits]
+    assert len(calls) == (1 if cached else 2)  # the second call read the cache
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 # --- cache -----------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from trivalent.reference import (
     CONJUGACY_CLASSES_BY_INDEX,
     SUBGROUPS_BY_INDEX,
 )
-from trivalent.selftest import check_integrality
+from trivalent.selftest import check_column_normalisation, check_integrality
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -115,14 +115,22 @@ def test_dense_route_cap():
 
 
 def test_unpointed_is_moebius_log_of_disconnected_types():
-    order = 16
-    types = disconnected_types_series(order)
-    assert inverse_euler_transform(types) == conjugacy_class_series(order)
+    # past the dense cap, so the factoring is checked where only it runs
+    order = 40
+    for general in (False, True):
+        types = disconnected_types_series(order, general)
+        assert inverse_euler_transform(types) == conjugacy_class_series(order, general)
 
 
 def test_euler_transform_of_unpointed_gives_disconnected_types():
-    order = 16
-    assert euler_transform(conjugacy_class_series(order)) == disconnected_types_series(order)
+    order = 40
+    for general in (False, True):
+        assert euler_transform(conjugacy_class_series(order, general)) == \
+            disconnected_types_series(order, general)
+
+
+def test_column_normalisation_matches_burnside_terms():
+    check_column_normalisation(8)
 
 
 # --- general flavor ----------------------------------------------------------------

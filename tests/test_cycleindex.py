@@ -1,8 +1,8 @@
-"""Tests for dense and factored cycle indices.
+"""Tests for cycle types and the commuting fixed-point counts.
 
 The brute-force oracles enumerate permutations directly (the commuting-count
 one is shared with `trivalent.selftest`); the dense tables they validate
-were computed independently of the factored machinery under test.
+were computed independently of the factored columns under test.
 """
 
 import itertools
@@ -11,16 +11,19 @@ from fractions import Fraction
 
 import pytest
 
+from trivalent.counting import (
+    _burnside_term,
+    _condensed_column,
+    conjugacy_class_series_dense,
+    disconnected_types_series,
+)
 from trivalent.cycleindex import (
     DENSE_WEIGHT_CAP,
     CycleType,
-    DenseCycleIndex,
-    all_permutations_factored,
     commuting_order_p_counts,
     count_commuting_order_p,
     cycle_types,
     cycle_types_up_to,
-    permutations_of_order_dividing,
 )
 from trivalent.selftest import brute_commuting, check_commuting_counts
 from trivalent.series import TruncSeries
@@ -41,10 +44,6 @@ def test_cycle_type_validation():
     with pytest.raises(ValueError):
         CycleType(((1, 0),))
     assert ct().weight == 0
-
-
-def test_cycle_type_of_permutation():
-    assert CycleType.of_permutation([1, 0, 2, 4, 5, 3]) == ct((1, 1), (2, 1), (3, 1))
 
 
 def test_centralizer_order():
@@ -107,170 +106,118 @@ def test_commuting_counts_reject_composite_order():
         count_commuting_order_p(6, ct((1, 2)))
 
 
-# --- factored cycle indices ---------------------------------------------------
+# --- factored columns -----------------------------------------------------------
 
+
+def burnside(weight, fixed):
+    """Isomorphism types of size `weight`: sum of fixed(type)/z(type)."""
+    return sum(Q(fixed(c), c.centralizer_order()) for c in cycle_types(weight))
 
 
 def test_factored_order2_coefficients():
-    z2 = permutations_of_order_dividing(2, 8)
-    # x_1 column is the involution count column
-    assert list(z2.factor(1))[:5] == [1, 1, 2, 4, 10]
-    assert Q(z2.coefficient(1, 4), 1**4 * math.factorial(4)) == Q(10, 24)
+    # x_1 column of the order-2 factor: the involution counts
+    assert commuting_order_p_counts(2, 1, 8)[:5] == [1, 1, 2, 4, 10]
+    assert Q(count_commuting_order_p(2, ct((1, 4))), ct((1, 4)).centralizer_order()) == Q(10, 24)
 
 
 def test_factored_order3_coefficients():
-    z3 = permutations_of_order_dividing(3, 8)
-    assert Q(z3.coefficient(1, 4), math.factorial(4)) == Q(9, 24)
-
-
-def test_factored_order1_is_the_set_species():
-    z1 = permutations_of_order_dividing(1, 10)
-    for k in range(1, 11):
-        assert all(a == 1 for a in z1.factor(k))
-    # condensation: one set per size
-    assert z1.condense_types() == TruncSeries(10, [1] * 11)
-
-
-def test_prime_path_matches_generic_expansion():
-    from trivalent.cycleindex import _factored_column_order_dividing
-
-    for p in (2, 3, 5):
-        for k in range(1, 7):
-            generic = _factored_column_order_dividing(p, k, 6)
-            fast = commuting_order_p_counts(p, k, 6)
-            assert [Q(v) for v in fast] == generic
-
-
-def test_composite_order_against_brute_force():
-    # order dividing 4 and 6: compare a[1][n] with direct counts of
-    # permutations sigma with sigma^n0 = id.
-    for n0 in (4, 6):
-        z = permutations_of_order_dividing(n0, 6)
-        for n in range(7):
-            count = 0
-            for p in itertools.permutations(range(n)):
-                power = list(range(n))
-                for _ in range(n0):
-                    power = [p[i] for i in power]
-                if power == list(range(n)):
-                    count += 1
-            assert z.coefficient(1, n) == count
+    assert Q(commuting_order_p_counts(3, 1, 4)[4], math.factorial(4)) == Q(9, 24)
 
 
 def test_chi_pattern_in_linear_coefficients():
     for p in (2, 3, 5):
-        z = permutations_of_order_dividing(p, 12)
         for k in range(1, 13):
             expected = p if k % p == 0 else 1
-            assert z.coefficient(k, 1) == expected
+            assert commuting_order_p_counts(p, k, 1)[1] == expected
 
 
-def test_all_permutations_factored():
-    zs = all_permutations_factored(10)
-    assert zs.coefficient(1, 2) == 2
-    assert zs.coefficient(2, 1) == 2
-    assert zs.coefficient(3, 2) == 3**2 * 2
-    # condensation yields the partition numbers
-    assert zs.condense_types().coeffs == tuple(
-        Q(c) for c in (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
-    )
+def test_prime_path_matches_generic_expansion():
+    # a[k][m] = k^m m! [x^m] exp(chi·x/k + x^p/(p·k)), expanded by the
+    # series exp instead of the two-term recurrence
+    for p in (2, 3, 5):
+        for k in range(1, 7):
+            chi = p if k % p == 0 else 1
+            e = TruncSeries.from_terms(6, {1: Q(chi, k), p: Q(1, p * k)}).exp()
+            generic = [e[m] * k**m * math.factorial(m) for m in range(7)]
+            assert commuting_order_p_counts(p, k, 6) == generic
 
 
 def test_condense_labelled():
-    # x_1 := t, x_k := 0 keeps the x_1 factor: a[1][m]/m! are EGF values
-    def labelled(z):
-        return TruncSeries(6, [Q(a, math.factorial(m)) for m, a in enumerate(z.factor(1))])
+    # x_1 := t, x_k := 0 keeps the x_1 column: a[1][m]/m! are EGF values
+    def labelled(p):
+        return TruncSeries(6, [Q(a, math.factorial(m))
+                               for m, a in enumerate(commuting_order_p_counts(p, 1, 6))])
 
-    z2 = permutations_of_order_dividing(2, 6)
-    expected = TruncSeries.from_terms(6, {1: 1, 2: Q(1, 2)}).exp()
-    assert labelled(z2) == expected
-    z3 = permutations_of_order_dividing(3, 6)
-    assert labelled(z3) == TruncSeries.from_terms(6, {1: 1, 3: Q(1, 3)}).exp()
-    z1 = permutations_of_order_dividing(1, 6)
-    assert labelled(z1) == TruncSeries.from_terms(6, {1: 1}).exp()
+    assert labelled(2) == TruncSeries.from_terms(6, {1: 1, 2: Q(1, 2)}).exp()
+    assert labelled(3) == TruncSeries.from_terms(6, {1: 1, 3: Q(1, 3)}).exp()
 
 
-# --- dense expansion and Hadamard products ------------------------------------
+def test_all_permutations_factored():
+    # every permutation commuting with one of type lambda counts: the
+    # all-permutations column is a[k][m] = k^m m! = z, which is why the
+    # general flavor's Burnside term is fix_2 alone
+    for weight in range(6):
+        for ctype in cycle_types(weight):
+            sigma, start = [], 0
+            for k, m in ctype.pairs:
+                for _ in range(m):
+                    sigma += [start + (i + 1) % k for i in range(k)]
+                    start += k
+            commuting = sum(
+                1 for tau in itertools.permutations(range(weight))
+                if all(tau[sigma[i]] == sigma[tau[i]] for i in range(weight))
+            )
+            assert commuting == ctype.centralizer_order()
+
+
+# --- dense tables and the Hadamard product ---------------------------------------
 
 
 def test_dense_from_factored_weight3_tables():
-    dense2 = permutations_of_order_dividing(2, 3).to_dense(3)
-    assert dense2.coefficient(ct((1, 3))) == Q(4, 6)
-    assert dense2.coefficient(ct((1, 1), (2, 1))) == Q(6, 6)
-    assert dense2.coefficient(ct((3, 1))) == Q(2, 6)
-    dense3 = permutations_of_order_dividing(3, 3).to_dense(3)
-    assert dense3.coefficient(ct((1, 3))) == Q(3, 6)
-    assert dense3.coefficient(ct((1, 1), (2, 1))) == Q(3, 6)
-    assert dense3.coefficient(ct((3, 1))) == Q(6, 6)
+    # dense coefficients fix_p(type)/z(type), from the per-type counts
+    def dense(p, *pairs):
+        return Q(count_commuting_order_p(p, ct(*pairs)), ct(*pairs).centralizer_order())
+
+    assert dense(2, (1, 3)) == Q(4, 6)
+    assert dense(2, (1, 1), (2, 1)) == Q(6, 6)
+    assert dense(2, (3, 1)) == Q(2, 6)
+    assert dense(3, (1, 3)) == Q(3, 6)
+    assert dense(3, (1, 1), (2, 1)) == Q(3, 6)
+    assert dense(3, (3, 1)) == Q(6, 6)
 
 
 def test_dense_weight0_is_constant_one():
-    for builder in (
-        lambda: permutations_of_order_dividing(2, 5),
-        lambda: all_permutations_factored(5),
-    ):
-        dense = builder().to_dense(0)
-        assert dense.terms == {ct(): Q(1)}
-
-
-def test_hadamard_factored_table_entries():
-    w = 7
-    prod = permutations_of_order_dividing(2, w).hadamard(permutations_of_order_dividing(3, w))
-    assert Q(prod.coefficient(1, 4), math.factorial(4)) == Q(90, 24)
-    # x_2^3 term: denominator per weight-6 table block is 6! = 720
-    c = prod.coefficient(2, 3) / (2**3 * math.factorial(3))
-    assert c == Q(2700, 720)
-    # x_7 term
-    assert prod.coefficient(7, 1) / 7 == Q(720, 5040)
-
-
-def test_hadamard_identity_is_the_set_species():
-    # The identity for the Hadamard product has every fixed-point count
-    # equal to one, i.e. the species of sets (= order dividing 1): the
-    # cartesian product with the one-structure species changes nothing.
-    identity = permutations_of_order_dividing(1, 8)
-    for z in (
-        permutations_of_order_dividing(2, 8),
-        permutations_of_order_dividing(3, 8),
-        all_permutations_factored(8),
-    ):
-        assert z.hadamard(identity) == z
-
-
-def test_hadamard_dense_matches_factored_route():
-    w = 7
-    f2 = permutations_of_order_dividing(2, w)
-    f3 = permutations_of_order_dividing(3, w)
-    dense_of_product = f2.hadamard(f3).to_dense(w)
-    product_of_dense = f2.to_dense(w).hadamard(f3.to_dense(w))
-    assert dense_of_product == product_of_dense
-
-
-def test_hadamard_dense_identity():
-    w = 7
-    z = permutations_of_order_dividing(3, w).to_dense(w)
-    identity = permutations_of_order_dividing(1, w).to_dense(w)
-    assert z.hadamard(identity) == z
+    # the empty type: an empty column product and a Burnside term of 1
+    assert disconnected_types_series(0) == TruncSeries(0, [1])
+    for general in (False, True):
+        assert _burnside_term(ct(), general) == 1
 
 
 def test_hadamard_dense_coefficients_are_fixed_count_products():
-    w = 6
-    dense2 = permutations_of_order_dividing(2, w).to_dense(w)
-    dense3 = permutations_of_order_dividing(3, w).to_dense(w)
-    prod = dense2.hadamard(dense3)
-    for ctype in cycle_types_up_to(w):
+    # the product of a type's condensed columns is fix_2·fix_3/z
+    for ctype in cycle_types_up_to(6):
+        product = Q(1)
+        for k, m in ctype.pairs:
+            product *= _condensed_column(k, m, False)[m]
         u2 = count_commuting_order_p(2, ctype)
         u3 = count_commuting_order_p(3, ctype)
-        expected = Q(u2 * u3, ctype.centralizer_order())
-        assert prod.coefficient(ctype) == expected
+        assert product == Q(u2 * u3, ctype.centralizer_order())
+
+
+def test_hadamard_factored_table_entries():
+    # condensed Hadamard columns fix_2·fix_3/(k^m m!), at the entries of the
+    # weight-4, weight-6 and weight-7 tables
+    assert _condensed_column(1, 4, False)[4] == Q(90, 24)
+    assert _condensed_column(2, 3, False)[3] == Q(2700, 720)
+    assert _condensed_column(7, 1, False)[1] == Q(720, 5040)
 
 
 def test_condensed_hadamard_types_series():
-    w = 7
-    prod = permutations_of_order_dividing(2, w).hadamard(permutations_of_order_dividing(3, w))
-    assert prod.condense_types().coeffs == tuple(
-        Q(c) for c in (1, 1, 2, 4, 7, 10, 24, 37)
-    )
+    # Burnside on the per-type counts, independent of the condensed columns
+    types = [burnside(w, lambda c: count_commuting_order_p(2, c) * count_commuting_order_p(3, c))
+             for w in range(8)]
+    assert types == [1, 1, 2, 4, 7, 10, 24, 37]
+    assert disconnected_types_series(7).integer_coefficients() == types
 
 
 def test_involution_types_are_partitions_into_small_parts():
@@ -280,52 +227,18 @@ def test_involution_types_are_partitions_into_small_parts():
         seen = set()
         for p in itertools.permutations(range(n)):
             if all(p[p[i]] == i for i in range(n)):
-                seen.add(CycleType.of_permutation(p))
+                seen.add(sum(1 for i in range(n) if p[i] == i))
         return len(seen)
 
     oracle = [classes(n) for n in range(6)]
     assert oracle == [1, 1, 2, 2, 3, 3]
-    z2 = permutations_of_order_dividing(2, 5)
-    assert z2.condense_types() == TruncSeries(5, oracle)
-
-
-def test_separability_consistency_weight10():
-    w = 10
-    builders = [
-        permutations_of_order_dividing(2, w),
-        permutations_of_order_dividing(3, w),
-        all_permutations_factored(w),
-    ]
-    for z1 in builders:
-        for z2 in builders:
-            via_factored = z1.hadamard(z2).to_dense(w)
-            via_dense = z1.to_dense(w).hadamard(z2.to_dense(w))
-            assert via_factored == via_dense
+    assert [burnside(n, lambda c: count_commuting_order_p(2, c)) for n in range(6)] == oracle
 
 
 # --- guards -------------------------------------------------------------------
 
 
 def test_dense_cap_enforced():
-    with pytest.raises(ValueError):
-        DenseCycleIndex(DENSE_WEIGHT_CAP + 1, {})
-    with pytest.raises(ValueError):
-        permutations_of_order_dividing(2, DENSE_WEIGHT_CAP + 2).to_dense(DENSE_WEIGHT_CAP + 1)
-
-
-def test_hadamard_weight_mismatch():
-    f2 = permutations_of_order_dividing(2, 5)
-    f3 = permutations_of_order_dividing(3, 6)
-    with pytest.raises(ValueError):
-        f2.hadamard(f3)
-    with pytest.raises(ValueError):
-        f2.to_dense(5).hadamard(f3.to_dense(6))
-
-
-def test_factored_validation():
-    from trivalent.cycleindex import FactoredCycleIndex
-
-    with pytest.raises(ValueError):
-        FactoredCycleIndex(2, [[1, 1, 1], [2]])  # x_2 factor must start with 1
-    with pytest.raises(ValueError):
-        FactoredCycleIndex(2, [[1, 1], [1]])  # x_1 factor too short
+    for general in (False, True):
+        with pytest.raises(ValueError):
+            conjugacy_class_series_dense(DENSE_WEIGHT_CAP + 1, general)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from trivalent.series import (
     TruncSeries,
-    euler_phi,
     euler_transform,
     inverse_euler_transform,
     moebius_mu,
@@ -230,11 +229,6 @@ def test_exactness_forced_denominators():
 # --- number theory ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,expected", [(1, 1), (6, 2), (9, 6), (12, 4), (97, 96)])
-def test_euler_phi_values(n, expected):
-    assert euler_phi(n) == expected
-
-
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, -1), (4, 0), (6, 1), (30, -1)])
 def test_moebius_values(n, expected):
     assert moebius_mu(n) == expected
@@ -242,23 +236,17 @@ def test_moebius_values(n, expected):
 
 def test_phi_mu_domain_errors():
     with pytest.raises(ValueError):
-        euler_phi(0)
-    with pytest.raises(ValueError):
         moebius_mu(0)
 
 
 def test_divisor_sum_identities():
     limit = 10000
-    phi = [0] + [euler_phi(n) for n in range(1, limit + 1)]
     mu = [0] + [moebius_mu(n) for n in range(1, limit + 1)]
-    phi_sum = [0] * (limit + 1)
     mu_sum = [0] * (limit + 1)
     for d in range(1, limit + 1):
         for n in range(d, limit + 1, d):
-            phi_sum[n] += phi[d]
             mu_sum[n] += mu[d]
     for n in range(1, limit + 1):
-        assert phi_sum[n] == n
         assert mu_sum[n] == (1 if n == 1 else 0)
 
 
