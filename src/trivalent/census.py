@@ -41,6 +41,10 @@ CENSUS_CAP_TRIVALENT = 14
 CENSUS_CAP_GENERAL = 10
 
 
+class CensusSizeError(ValueError):
+    """A census size below 1 or above the cap: the one input error here."""
+
+
 class CensusReport:
     """Counts and representatives for one size.
 
@@ -68,7 +72,7 @@ def pointed_structures(n: int, trivalent: bool = True):
     """Yield (rot, inv) image tuples, one per pointed isomorphism class of
     connected diagrams on n arcs, each in canonical labeling."""
     if n < 1:
-        raise ValueError("size must be >= 1, got %d" % n)
+        raise CensusSizeError("size must be >= 1, got %d" % n)
     rot = [-1] * n
     pre = [-1] * n
     inv = [-1] * n
@@ -120,7 +124,7 @@ def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
-        raise ValueError("census size %d exceeds the cap %d" % (n, cap))
+        raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
     pointed = 0
     by_code = {}
     for rot, inv in pointed_structures(n, trivalent):

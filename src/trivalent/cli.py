@@ -167,7 +167,7 @@ def _cmd_count(args) -> int:
 def _cmd_census(args) -> int:
     try:
         report = census_mod.enumerate_size(args.size)
-    except ValueError as exc:
+    except census_mod.CensusSizeError as exc:
         raise InputError(str(exc)) from None
     normal_reps = [d for d in report.class_representatives if is_normal(d)]
     payload = {
@@ -221,17 +221,11 @@ def _conflict_payload(conflict) -> dict:
     }
 
 
-def _decide_included(files):
-    big, small = _pointed(files[0]), _pointed(files[1])
-    mapping = pointed_morphism(big, small)
-    if mapping is not None:
-        return True, {"map": list(mapping)}
-    return False, {"critical_pair": _conflict_payload(pointed_morphism_conflict(big, small))}
-
-
-def _decide_isomorphic(files):
+def _decide_pointed(files, same_size: bool):
+    """`included` (a pointed map from the first file to the second) or, with
+    `same_size`, `isomorphic` (such a map between equal arc counts)."""
     p1, p2 = _pointed(files[0]), _pointed(files[1])
-    if p1.diagram.n != p2.diagram.n:
+    if same_size and p1.diagram.n != p2.diagram.n:
         return False, {"sizes": [p1.diagram.n, p2.diagram.n]}
     mapping = pointed_morphism(p1, p2)
     if mapping is not None:
@@ -259,8 +253,8 @@ def _decide_normal(files):
 
 
 _RELATIONS = {
-    "included": (2, _decide_included),
-    "isomorphic": (2, _decide_isomorphic),
+    "included": (2, lambda files: _decide_pointed(files, same_size=False)),
+    "isomorphic": (2, lambda files: _decide_pointed(files, same_size=True)),
     "conjugate": (2, _decide_conjugate),
     "normal": (1, _decide_normal),
 }

@@ -29,10 +29,13 @@ above the best so far, and a full tie with the best base is an automorphism
 whose orbits it skips, so it is near-linear on rigid diagrams.
 
 Automorphisms are pointed maps (d, 0) -> (d, a), and Aut acts freely on the
-arcs, so |Aut| is the size of the orbit of arc 0.  The orbit algorithm grows
-that orbit under the automorphisms found so far and runs a closure only for
-an arc outside it and outside the orbit of an arc whose closure failed: at
-most log2 |Aut| successful closures.
+arcs, so |Aut| is the size of any Aut-orbit.  The bases that tie with the
+best one form one Aut-orbit, and the search merges each into the best
+base's union-find class or skips it within an examined tying base's class:
+that class is the orbit, so |Aut| costs one canonical search.  The orbit
+algorithm serves normality only: it grows the orbit of arc 0 under the
+automorphisms found so far, runs a closure only for an arc outside it, and
+stops at the first failed closure.
 """
 
 from __future__ import annotations
@@ -417,7 +420,8 @@ def _merge_orbits(parent: list, perm) -> None:
 
 
 def _canonical_form(d: Diagram) -> tuple:
-    """The (rot, inv) pair of the least relabeling over all base arcs.
+    """The (rot, inv) pair of the least relabeling over all base arcs, and
+    |Aut(d)|.
 
     Each base is labeled breadth-first with generators [rot, rot^-1, inv];
     entry i of its relabeled rot array, label[rot[order[i]]], is known as
@@ -426,7 +430,8 @@ def _canonical_form(d: Diagram) -> tuple:
     the rot arrays tie.  A full tie with the best base is an automorphism
     best_order[j] -> order[j]; its orbits are merged into a union-find, and
     a base whose orbit already holds a smaller (hence examined) arc is
-    skipped, since it yields the same arrays.
+    skipped, since it yields the same arrays.  |Aut| is the size of the best
+    base's class, or 1 when no automorphism was found.
     """
     n = d.n
     rot, rot_inv, inv = d.rot, d.rot_inverse, d.inv
@@ -473,7 +478,9 @@ def _canonical_form(d: Diagram) -> tuple:
                 _merge_orbits(parent, automorphism)
         for x in order:
             label[x] = -1
-    return tuple(best_rot), tuple(best_inv)
+    root = best_order[0]
+    aut = 1 if parent is None else sum(_find(parent, x) == root for x in range(n))
+    return tuple(best_rot), tuple(best_inv), aut
 
 
 def _encode(n: int, rot: tuple, inv: tuple) -> bytes:
@@ -498,14 +505,16 @@ def canonical_code(d: Diagram) -> bytes:
     """
     if not d.is_connected():
         raise ValueError("canonical codes are defined for connected diagrams only")
-    return _encode(d.n, *_canonical_form(d))
+    rot, inv, _ = _canonical_form(d)
+    return _encode(d.n, rot, inv)
 
 
 def canonical_representative(d: Diagram) -> Diagram:
     """The canonically relabeled isomorphic copy of `d` (same code)."""
     if not d.is_connected():
         raise ValueError("canonical form is defined for connected diagrams only")
-    return Diagram(*_canonical_form(d))
+    rot, inv, _ = _canonical_form(d)
+    return Diagram(rot, inv)
 
 
 def conjugate_subgroups(p1: PointedDiagram, p2: PointedDiagram) -> bool:
@@ -531,17 +540,25 @@ def automorphisms(d: Diagram) -> list:
     return maps
 
 
-def _orbit_of_arc_0(d: Diagram, stop_at_failure: bool):
-    """The orbit algorithm for arc 0 under Aut(d).
+def automorphism_order(d: Diagram) -> int:
+    """|Aut(d)| for connected d, from one canonical search: Aut acts freely
+    on the arcs, so |Aut| is the size of the Aut-orbit of the best base; the
+    bases that tie with it are that orbit, and `_canonical_form` gathers
+    each into the best base's union-find class, merged or skipped."""
+    if not d.is_connected():
+        raise ValueError("automorphisms and normality are decided for connected diagrams only")
+    return _canonical_form(d)[2]
 
-    Visits the arcs in increasing order and runs the closure of (0, a) only
-    for an arc a that is the least of its class in a union-find of the
-    orbits of the automorphisms found so far: the other arcs share their
-    class with arc 0 (reachable) or with an arc whose closure failed
-    (unreachable too).  Each success adds an automorphism outside the group
-    found so far, so there are at most log2 |Aut| of them.  Returns the
-    union-find and, when `stop_at_failure`, the conflict of the first failed
-    closure, that of the smallest unreachable arc (else None).
+
+def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
+    """None when d is normal; otherwise the conflict of the closure of
+    (0, a) for the smallest arc a that no automorphism reaches from arc 0
+    (a is the conflict's partial_map[0]).
+
+    The orbit algorithm: the closure of (0, a) runs only for an arc a that
+    is the least of its class in a union-find of the orbits of the
+    automorphisms found so far (at most log2 |Aut| of them, each outside
+    the group of the earlier ones), and the first failure is returned.
     """
     if not d.is_connected():
         raise ValueError("automorphisms and normality are decided for connected diagrams only")
@@ -550,25 +567,10 @@ def _orbit_of_arc_0(d: Diagram, stop_at_failure: bool):
         if _find(parent, a) != a:
             continue
         m, conflict = _close(d, 0, d, a)
-        if m is not None:
-            _merge_orbits(parent, m)
-        elif stop_at_failure:
-            return parent, conflict
-    return parent, None
-
-
-def automorphism_order(d: Diagram) -> int:
-    """|Aut(d)| for connected d: the size of the orbit of arc 0, because Aut
-    acts freely on the arcs (pointed maps are unique)."""
-    parent, _ = _orbit_of_arc_0(d, stop_at_failure=False)
-    return sum(1 for x in range(d.n) if _find(parent, x) == 0)
-
-
-def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
-    """None when d is normal; otherwise the conflict of the closure of
-    (0, a) for the smallest arc a that no automorphism reaches from arc 0
-    (a is the conflict's partial_map[0])."""
-    return _orbit_of_arc_0(d, stop_at_failure=True)[1]
+        if m is None:
+            return conflict
+        _merge_orbits(parent, m)
+    return None
 
 
 def is_normal(d: Diagram) -> bool:

@@ -335,8 +335,9 @@ def check_canonical_search(rng, sizes, relabelings):
 
 
 def check_automorphism_orbits(diagrams):
-    """The orbit algorithm against the exhaustive automorphism list: |Aut|,
-    normality, and the smallest arc no automorphism reaches from arc 0."""
+    """|Aut| from the canonical search, and normality and the smallest arc no
+    automorphism reaches from arc 0 from the orbit algorithm, against the
+    exhaustive automorphism list."""
     for d in diagrams:
         maps = diagram.automorphisms(d)
         order = diagram.automorphism_order(d)
@@ -394,7 +395,8 @@ def run_selftest(full: bool, report=print) -> bool:
         ("canonical-search", lambda: check_canonical_search(random.Random(4181), (12, 60, 240, 600), 1)),
         ("automorphism-orbits", lambda: check_automorphism_orbits(
             list(census.enumerate_size(7).class_representatives)
-            + [psl2_regular(5), random_cover(psl2_regular(5), 2, random.Random(6765))])),
+            + [psl2_regular(5), random_cover(psl2_regular(5), 2, random.Random(6765)),
+               random_trivalent(random.Random(2584), 600), psl2_regular(7)])),
     ]
     if full:
         checks += [

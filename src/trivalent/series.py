@@ -2,9 +2,10 @@
 unlabeled enumeration.
 
 Everything here is exact: coefficients are `fractions.Fraction` values, kept
-in lowest terms by construction, and no operation ever rounds.  A series
-carries an explicit truncation order; binary operations require equal orders
-so that precision mistakes fail loudly instead of silently re-truncating.
+in lowest terms by construction, and no operation ever rounds.  A
+`TruncSeries` offers only what the pipelines and oracles call: coefficient
+access, equality, `exp`, `log`, the Euler operator t·d/dt and the checked
+conversion to integers; its constructor refuses floats.
 
 exp and log are computed by the usual first-order ODE recurrences on
 coefficients (g' = f'·g and l'·f = f'), which cost O(N^2) rational
@@ -102,28 +103,6 @@ class TruncSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls(order, (_ONE,))
-
-    @classmethod
-    def from_terms(cls, order: int, terms: dict) -> "TruncSeries":
-        """Build a series from an {exponent: coefficient} mapping.
-
-        Exponents beyond the truncation order are rejected rather than
-        silently dropped.
-        """
-        coeffs = [_ZERO] * (order + 1)
-        for e, c in terms.items():
-            if not 0 <= e <= order:
-                raise ValueError("exponent %d out of range 0..%d" % (e, order))
-            coeffs[e] = _exact(c)
-        return cls(order, coeffs)
-
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError("coefficient index %d out of range 0..%d" % (n, self.order))
@@ -148,54 +127,6 @@ class TruncSeries:
         body = " + ".join(terms) if terms else "0"
         return "TruncSeries(order=%d, %s)" % (self.order, body)
 
-    def _check_order(self, other: "TruncSeries") -> None:
-        if not isinstance(other, TruncSeries):
-            raise TypeError("expected a TruncSeries, got %r" % type(other).__name__)
-        if self.order != other.order:
-            raise ValueError(
-                "truncation order mismatch: %d != %d" % (self.order, other.order)
-            )
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_order(other)
-        return TruncSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_order(other)
-        return TruncSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_order(other)
-        n = self.order
-        f, g = self.coeffs, other.coeffs
-        out = [_ZERO] * (n + 1)
-        for i, fi in enumerate(f):
-            if not fi:
-                continue
-            for j in range(n + 1 - i):
-                gj = g[j]
-                if gj:
-                    out[i + j] += fi * gj
-        return TruncSeries(n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "TruncSeries":
-        c = _exact(c)
-        return TruncSeries(self.order, [c * a for a in self.coeffs])
-
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term; never touches floating
         point."""
@@ -208,18 +139,6 @@ class TruncSeries:
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
         return TruncSeries(self.order, _log_coefficients(self.coeffs))
-
-    def substitute_power(self, k: int) -> "TruncSeries":
-        """Return f(t^k) at the same truncation order."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1, got %d" % k)
-        if k == 1:
-            return self
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for i in range(n // k + 1):
-            out[k * i] = self.coeffs[i]
-        return TruncSeries(n, out)
 
     def euler_operator(self) -> "TruncSeries":
         """Apply t·d/dt: the coefficient of t^n becomes n times itself.

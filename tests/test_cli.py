@@ -233,10 +233,49 @@ def test_census_listing_bytes_are_pinned(capsys):
         "75ef279ce8aeb58b8541e5a594ad0406b8eb1416657a8bbd7dabf1e5600457fe"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("pointed",), "fdb9e5d360c019818a2367254011a338aa17da9ff7bca80a7cc0b9e775eb6d16"),
+    (("pointed", "--general"), "ef76c700dfa1f8d8bbd8b4d8c1f17c12fcc8bf75ed207ca5ebbde37603c27245"),
+    (("classes",), "e5cfcc87b0f333abbcfd1b55b9cbfb0e16691217582cd9a5aeee5feedd34290c"),
+    (("classes", "--general"), "5331d77d0c1d13b28264ba201bc45b88c45a245239195fa0f0b4cdfbbb52467a"),
+])
+def test_count_output_bytes_are_pinned(monkeypatch, capsys, argv, digest):
+    # the series layer may change its arithmetic, never the index-500 output
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, out, _ = run(capsys, "count", argv[0], "--max", "500", *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_census_over_cap(capsys):
     code, _, err = run(capsys, "census", "--size", "99")
     assert code == cli.EXIT_INPUT
     assert "cap" in err
+
+
+@pytest.mark.parametrize("size, message", [
+    (0, "error: size must be >= 1, got 0\n"),
+    (15, "error: census size 15 exceeds the cap 14\n"),
+])
+def test_census_size_errors_exit_3(capsys, size, message):
+    code, out, err = run(capsys, "census", "--size", str(size))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == message
+
+
+def test_census_internal_value_error_exits_4(monkeypatch, capsys):
+    # only the size checks are input errors; a fault inside the census is not
+    from trivalent import census
+
+    def canonical_code(d):
+        raise ValueError("simulated internal fault")
+
+    monkeypatch.setattr(census, "canonical_code", canonical_code)
+    code, out, err = run(capsys, "census", "--size", "3")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal: simulated internal fault\n"
 
 
 # --- decide -----------------------------------------------------------------

@@ -137,7 +137,9 @@ def test_prime_path_matches_generic_expansion():
     for p in (2, 3, 5):
         for k in range(1, 7):
             chi = p if k % p == 0 else 1
-            e = TruncSeries.from_terms(6, {1: Q(chi, k), p: Q(1, p * k)}).exp()
+            terms = [0] * 7
+            terms[1], terms[p] = Q(chi, k), Q(1, p * k)
+            e = TruncSeries(6, terms).exp()
             generic = [e[m] * k**m * math.factorial(m) for m in range(7)]
             assert commuting_order_p_counts(p, k, 6) == generic
 
@@ -148,8 +150,8 @@ def test_condense_labelled():
         return TruncSeries(6, [Q(a, math.factorial(m))
                                for m, a in enumerate(commuting_order_p_counts(p, 1, 6))])
 
-    assert labelled(2) == TruncSeries.from_terms(6, {1: 1, 2: Q(1, 2)}).exp()
-    assert labelled(3) == TruncSeries.from_terms(6, {1: 1, 3: Q(1, 3)}).exp()
+    assert labelled(2) == TruncSeries(6, [0, 1, Q(1, 2)]).exp()
+    assert labelled(3) == TruncSeries(6, [0, 1, 0, Q(1, 3)]).exp()
 
 
 def test_all_permutations_factored():
