@@ -8,8 +8,9 @@ The main entry points:
 - `series`: exact truncated power series and the Euler/Moebius transforms;
 - `cycleindex`: cycle types and the commuting fixed-point counts that make
   up the factored cycle indices;
-- `diagram`: the diagram data model and its decision procedures
-  (morphism existence, isomorphism, conjugacy, normality);
+- `diagram`: the diagram data model and its decision procedures: inclusion
+  through `pointed_morphism`, conjugacy through `canonical_code`, normality
+  through `is_normal`;
 - `census`: exhaustive brute-force enumeration at small size;
 - `counting`: the generating-series pipelines (subgroup counts, conjugacy
   class counts by the fast factored route and by the dense Burnside
@@ -34,12 +35,9 @@ from .diagram import (
     barycentric_graph,
     canonical_code,
     canonical_representative,
-    conjugate_subgroups,
     is_normal,
     parse_diagram_text,
-    pointed_isomorphic,
     pointed_morphism,
-    subgroup_includes,
 )
 from .census import CensusReport, enumerate_normal, enumerate_size
 from .counting import (
@@ -70,12 +68,9 @@ __all__ = [
     "barycentric_graph",
     "canonical_code",
     "canonical_representative",
-    "conjugate_subgroups",
     "is_normal",
     "parse_diagram_text",
-    "pointed_isomorphic",
     "pointed_morphism",
-    "subgroup_includes",
     "CensusReport",
     "enumerate_normal",
     "enumerate_size",

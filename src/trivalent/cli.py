@@ -152,15 +152,25 @@ def _emit(payload) -> None:
 def _cmd_count(args) -> int:
     if args.max < 1:
         raise UsageError("--max must be >= 1, got %d" % args.max)
-    coefficients = _count_coefficients(args.kind, args.max, args.general)
-    _emit(
-        {
-            "kind": args.kind,
-            "max": args.max,
-            "general": args.general,
-            "coefficients": [str(c) for c in coefficients],
-        }
-    )
+    # coefficients pass Python's 4300-digit limit on int/str conversion near
+    # index 7400; lift it for the cache and the output only, so that diagram
+    # files are still parsed under it, and restore the caller's value
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        coefficients = _count_coefficients(args.kind, args.max, args.general)
+        _emit(
+            {
+                "kind": args.kind,
+                "max": args.max,
+                "general": args.general,
+                "coefficients": [str(c) for c in coefficients],
+            }
+        )
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     return EXIT_OK
 
 
@@ -192,7 +202,7 @@ def _read_diagram_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     try:
         d, base = parse_diagram_text(text)
@@ -340,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # coefficients pass Python's 4300-digit limit on int/str conversion near
-    # index 7400; lift it for this call only and restore the caller's value
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -359,9 +364,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: internal: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ the group generated by one element of infinite order and one involution
 point classifies subgroups up to conjugacy.  This module implements the
 decision procedures that make those classifications effective:
 
-- existence of a base-point-preserving equivariant map, decided by closing
-  the pair (base, base') under both generators and watching for conflicts;
-- isomorphism and conjugacy via canonical relabeling;
+- inclusion as a base-point-preserving equivariant map (between equal arc
+  counts, a pointed isomorphism), decided by closing the pair (base, base')
+  under both generators and watching for conflicts;
+- conjugacy as isomorphism, decided by equal canonical codes;
 - normality as arc-transitivity of the automorphism group.
 
 The canonical relabeling traverses arcs breadth-first from a base arc,
@@ -44,9 +45,12 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 
-def _check_permutation(name: str, images, n: int) -> tuple:
+def _check_permutation(name: str, images, n: Optional[int] = None) -> tuple:
+    """`images` as a tuple of ints, a permutation of 0..n-1 (n its length by default)."""
     images = tuple(int(x) for x in images)
-    if len(images) != n:
+    if n is None:
+        n = len(images)
+    elif len(images) != n:
         raise ValueError("%s must have %d entries, got %d" % (name, n, len(images)))
     seen = [False] * n
     for x in images:
@@ -63,22 +67,15 @@ class Diagram:
 
     __slots__ = ("n", "rot", "inv", "_rot_inverse", "_connected")
 
-    def __init__(self, rot, inv, require_trivalent: bool = False):
-        rot = tuple(int(x) for x in rot)
+    def __init__(self, rot, inv):
+        rot = _check_permutation("rot", rot)
         n = len(rot)
         if n < 1:
             raise ValueError("a diagram needs at least one arc")
-        rot = _check_permutation("rot", rot, n)
         inv = _check_permutation("inv", inv, n)
         for a in range(n):
             if inv[inv[a]] != a:
                 raise ValueError("inv is not an involution (at arc %d)" % a)
-        if require_trivalent:
-            for a in range(n):
-                if rot[rot[rot[a]]] != a:
-                    raise ValueError(
-                        "not trivalent: rot^3 != id (at arc %d)" % a
-                    )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "inv", inv)
@@ -101,6 +98,7 @@ class Diagram:
 
     @property
     def trivalent(self) -> bool:
+        """True iff rot^3 = id: every vertex has degree 1 or 3."""
         rot = self.rot
         return all(rot[rot[rot[a]]] == a for a in range(self.n))
 
@@ -123,14 +121,6 @@ class Diagram:
             cached = count == self.n
             object.__setattr__(self, "_connected", cached)
         return cached
-
-    def vertices(self) -> list:
-        """The rot-orbits, each a list of arcs in cycle order."""
-        return _orbits_in_cycle_order(self.rot)
-
-    def edges(self) -> list:
-        """The inv-orbits: folded edges are singletons, plain edges pairs."""
-        return _orbits_in_cycle_order(self.inv)
 
     def relabel(self, perm) -> "Diagram":
         """Conjugate both permutations by `perm` (arc i becomes perm[i])."""
@@ -192,23 +182,6 @@ class PointedDiagram:
         return "PointedDiagram(%r, base=%d)" % (self.diagram, self.base)
 
 
-def _orbits_in_cycle_order(perm) -> list:
-    n = len(perm)
-    seen = [False] * n
-    orbits = []
-    for a in range(n):
-        if seen[a]:
-            continue
-        orbit = []
-        b = a
-        while not seen[b]:
-            seen[b] = True
-            orbit.append(b)
-            b = perm[b]
-        orbits.append(orbit)
-    return orbits
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -222,21 +195,20 @@ class DiagramParseError(ValueError):
         self.column = column
 
 
-def _text_position(text: str, offset: int) -> tuple:
-    while offset < len(text) and text[offset].isspace():
-        offset += 1
-    prefix = text[:offset]
-    line = prefix.count("\n") + 1
-    column = offset - (prefix.rfind("\n") + 1) + 1
-    return line, column
-
-
-def parse_diagram_text(text: str, require_trivalent: bool = False):
+def parse_diagram_text(text: str):
     """Parse the normative text format.
 
     ``n=<int>; rot=[i0,...]; inv=[j0,...]`` with an optional ``; base=<int>``;
     whitespace is insignificant everywhere.  Returns (Diagram, base or None).
     """
+
+    def error(message, offset):
+        # the position of the first non-space character at or after offset
+        while offset < len(text) and text[offset].isspace():
+            offset += 1
+        prefix = text[:offset]
+        return DiagramParseError(message, prefix.count("\n") + 1, offset - prefix.rfind("\n"))
+
     fields = {}
     offset = 0
     for segment in text.split(";"):
@@ -245,68 +217,52 @@ def parse_diagram_text(text: str, require_trivalent: bool = False):
         if not segment.strip():
             continue
         if "=" not in segment:
-            line, col = _text_position(text, seg_offset)
-            raise DiagramParseError("expected key=value, got %r" % segment.strip(),
-                                    line, col)
+            raise error("expected key=value, got %r" % segment.strip(), seg_offset)
         key, _, value = segment.partition("=")
         key = key.strip()
         value = "".join(value.split())
         if key in fields:
-            line, col = _text_position(text, seg_offset)
-            raise DiagramParseError("duplicate field %r" % key, line, col)
+            raise error("duplicate field %r" % key, seg_offset)
         if key not in ("n", "rot", "inv", "base"):
-            line, col = _text_position(text, seg_offset)
-            raise DiagramParseError("unknown field %r" % key, line, col)
+            raise error("unknown field %r" % key, seg_offset)
         fields[key] = (value, seg_offset)
 
     for required in ("n", "rot", "inv"):
         if required not in fields:
-            line, col = _text_position(text, len(text))
-            raise DiagramParseError("missing field %r" % required, line, col)
+            raise error("missing field %r" % required, len(text))
 
     def parse_int(key):
         value, seg_offset = fields[key]
         try:
             return int(value)
         except ValueError:
-            line, col = _text_position(text, seg_offset)
-            raise DiagramParseError("field %r is not an integer: %r" % (key, value),
-                                    line, col) from None
+            raise error("field %r is not an integer: %r" % (key, value), seg_offset) from None
 
     def parse_list(key):
         value, seg_offset = fields[key]
         if not (value.startswith("[") and value.endswith("]")):
-            line, col = _text_position(text, seg_offset)
-            raise DiagramParseError("field %r must be a bracketed list" % key,
-                                    line, col)
+            raise error("field %r must be a bracketed list" % key, seg_offset)
         body = value[1:-1]
         if not body:
             return []
         try:
             return [int(x) for x in body.split(",")]
         except ValueError:
-            line, col = _text_position(text, seg_offset)
-            raise DiagramParseError("field %r has a non-integer entry" % key,
-                                    line, col) from None
+            raise error("field %r has a non-integer entry" % key, seg_offset) from None
 
     n = parse_int("n")
     rot = parse_list("rot")
     inv = parse_list("inv")
     base = parse_int("base") if "base" in fields else None
     if len(rot) != n or len(inv) != n:
-        line, col = _text_position(text, fields["n"][1])
-        raise DiagramParseError(
-            "n=%d but rot has %d entries and inv has %d" % (n, len(rot), len(inv)),
-            line, col)
+        raise error("n=%d but rot has %d entries and inv has %d" % (n, len(rot), len(inv)),
+                    fields["n"][1])
     try:
-        diagram = Diagram(rot, inv, require_trivalent=require_trivalent)
+        diagram = Diagram(rot, inv)
     except ValueError as exc:
-        line, col = _text_position(text, fields["rot"][1])
-        raise DiagramParseError(str(exc), line, col) from None
+        raise error(str(exc), fields["rot"][1]) from None
     if base is not None and not 0 <= base < n:
-        line, col = _text_position(text, fields["base"][1])
-        raise DiagramParseError("base=%d out of range 0..%d" % (base, n - 1),
-                                line, col)
+        raise error("base=%d out of range 0..%d" % (base, n - 1), fields["base"][1])
     return diagram, base
 
 
@@ -364,7 +320,12 @@ def _close(src: Diagram, a: int, dst: Diagram, b: int):
 
 def pointed_morphism(src: PointedDiagram, dst: PointedDiagram) -> Optional[tuple]:
     """The unique pointed equivariant map src -> dst as an image tuple,
-    or None when the base pair is critical (no such map exists)."""
+    or None when the base pair is critical (no such map exists).
+
+    The map exists iff the subgroup classified by `src` is contained in the
+    one classified by `dst`: it runs from larger index to smaller.  Between
+    equal arc counts such a map is bijective, so one closure decides pointed
+    isomorphism (equality of the subgroups)."""
     m, _ = _close(src.diagram, src.base, dst.diagram, dst.base)
     return m
 
@@ -373,23 +334,6 @@ def pointed_morphism_conflict(src: PointedDiagram, dst: PointedDiagram):
     """The MorphismConflict witnessing non-existence, or None if a map exists."""
     _, conflict = _close(src.diagram, src.base, dst.diagram, dst.base)
     return conflict
-
-
-def pointed_isomorphic(p1: PointedDiagram, p2: PointedDiagram) -> bool:
-    """Base-point-preserving isomorphism.
-
-    Morphisms both ways are automatically mutually inverse, and for equal arc
-    counts a single morphism is already bijective, so one closure suffices.
-    """
-    if p1.diagram.n != p2.diagram.n:
-        return False
-    return pointed_morphism(p1, p2) is not None
-
-
-def subgroup_includes(p_big: PointedDiagram, p_small: PointedDiagram) -> bool:
-    """True iff the subgroup classified by `p_big` is contained in the one
-    classified by `p_small` (the morphism runs from larger index to smaller)."""
-    return pointed_morphism(p_big, p_small) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +461,6 @@ def canonical_representative(d: Diagram) -> Diagram:
     return Diagram(rot, inv)
 
 
-def conjugate_subgroups(p1: PointedDiagram, p2: PointedDiagram) -> bool:
-    """True iff the two classified subgroups are conjugate, i.e. the diagrams
-    with base points forgotten are isomorphic."""
-    return canonical_code(p1.diagram) == canonical_code(p2.diagram)
-
-
 def automorphisms(d: Diagram) -> list:
     """All automorphisms of a connected diagram, as image tuples.
 
@@ -591,17 +529,6 @@ class BicoloredGraph(NamedTuple):
     white_count: int
     edges: tuple  # (black_index, white_index) per arc, in arc order
 
-    def white_degrees(self) -> list:
-        deg = [0] * self.white_count
-        for _, w in self.edges:
-            deg[w] += 1
-        return deg
-
-    def is_clean(self) -> bool:
-        """White degrees must be 1 (folded edge) or 2; the coloring is proper
-        by construction."""
-        return all(1 <= deg <= 2 for deg in self.white_degrees())
-
     def to_dot(self) -> str:
         lines = ["graph barycentric {"]
         for i in range(self.black_count):
@@ -618,19 +545,25 @@ class BicoloredGraph(NamedTuple):
 
 def barycentric_graph(d: Diagram) -> BicoloredGraph:
     """Insert a white vertex in the middle of every edge: black vertices are
-    the rot-orbits, white vertices the inv-orbits, one edge per arc."""
-    black_of = [0] * d.n
-    for i, orbit in enumerate(d.vertices()):
-        for a in orbit:
-            black_of[a] = i
-    white_of = [0] * d.n
+    the rot-orbits, white vertices the inv-orbits, one edge per arc.  Both
+    kinds are numbered in the order of their least arcs."""
+    black_of = [-1] * d.n
+    black_count = 0
+    for a in range(d.n):
+        if black_of[a] < 0:
+            b = a
+            while black_of[b] < 0:
+                black_of[b] = black_count
+                b = d.rot[b]
+            black_count += 1
+    white_of = [-1] * d.n
     white_count = 0
-    for orbit in d.edges():
-        for a in orbit:
-            white_of[a] = white_count
-        white_count += 1
+    for a in range(d.n):
+        if white_of[a] < 0:
+            white_of[a] = white_of[d.inv[a]] = white_count
+            white_count += 1
     return BicoloredGraph(
-        black_count=len(d.vertices()),
+        black_count=black_count,
         white_count=white_count,
         edges=tuple((black_of[a], white_of[a]) for a in range(d.n)),
     )

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import census, counting, diagram, reference
 from .cycleindex import count_commuting_order_p, cycle_types, cycle_types_up_to
-from .series import TruncSeries, euler_transform, inverse_euler_transform, moebius_mu
+from .series import (TruncSeries, euler_transform, inverse_euler_transform, moebius_mu,
+                     moebius_sieve)
 
 
 class SelfTestFailure(Exception):
@@ -48,9 +49,17 @@ def check_series_roundtrips(rng, cases, max_order):
 
 
 def check_number_theory(max_n):
+    """The sieved Moebius table of the class counts against trial division and
+    sum_{d | n} mu(d) = [n = 1], for n <= max_n (the sum at n is complete at step n)."""
+    mu = moebius_sieve(max_n)
+    divisor_sums = [0] * (max_n + 1)
     for n in range(1, max_n + 1):
-        ms = sum(moebius_mu(d) for d in range(1, n + 1) if n % d == 0)
-        if ms != (1 if n == 1 else 0):
+        if mu[n] != moebius_mu(n):
+            _fail("number-theory", "sieve gives mu(%d) = %d, trial division %d"
+                  % (n, mu[n], moebius_mu(n)))
+        for multiple in range(n, max_n + 1, n):
+            divisor_sums[multiple] += mu[n]
+        if divisor_sums[n] != (1 if n == 1 else 0):
             _fail("number-theory", "moebius divisor sum wrong at %d" % n)
 
 
@@ -256,7 +265,7 @@ def random_trivalent(rng, n, attempts=1000):
         for i in range(folded, n, 2):
             a, b = arcs[i:i + 2]
             inv[a], inv[b] = b, a
-        d = diagram.Diagram(rot, inv, require_trivalent=True)
+        d = diagram.Diagram(rot, inv)
         if d.is_connected():
             return d
     raise SelfTestFailure("no connected trivalent diagram on %d arcs in %d attempts"
@@ -286,7 +295,10 @@ def psl2_regular(p):
                 elements.append(y)
     inv = [index[times(m, s)] for m in elements]
     rot = [index[times(m, st)] for m in elements]
-    return diagram.Diagram(rot, inv, require_trivalent=True)
+    d = diagram.Diagram(rot, inv)
+    if not d.trivalent:
+        _fail("psl2-regular", "rot^3 != id at p=%d" % p)
+    return d
 
 
 def random_cover(d, sheets, rng, attempts=100):

@@ -79,8 +79,10 @@ def test_structures_are_canonically_labeled_and_distinct(trivalent):
         for rot, inv in pointed_structures(n, trivalent):
             assert (rot, inv) not in seen
             seen.add((rot, inv))
-            d = Diagram(rot, inv, require_trivalent=trivalent)
+            d = Diagram(rot, inv)
             assert d.is_connected()
+            if trivalent:
+                assert d.trivalent
             # labels must equal breadth-first discovery order from arc 0
             assert brute_relabeling(d, 0) == list(range(n))
             assert canonical_representative(d) == Diagram(*brute_canonical_form(d))

@@ -233,6 +233,14 @@ def test_census_listing_bytes_are_pinned(capsys):
         "75ef279ce8aeb58b8541e5a594ad0406b8eb1416657a8bbd7dabf1e5600457fe"
 
 
+def test_census_dot_bytes_are_pinned(capsys):
+    # the barycentric export may change its code, never its output
+    code, out, _ = run(capsys, "census", "--size", "14", "--list", "--dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "8114a77a1a2247979202baac4745ebf10eaff3721feb7a30eb921fd8b9b3b060"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("pointed",), "fdb9e5d360c019818a2367254011a338aa17da9ff7bca80a7cc0b9e775eb6d16"),
     (("pointed", "--general"), "ef76c700dfa1f8d8bbd8b4d8c1f17c12fcc8bf75ed207ca5ebbde37603c27245"),
@@ -431,6 +439,28 @@ def test_decide_missing_file(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_decide_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.diag"
+    path.write_bytes(INDEX2_TEXT.encode("ascii") + b"\xff")
+    code, out, err = run(capsys, "decide", "normal", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: cannot read %s: 'utf-8' codec can't decode" % path)
+
+
+def test_decide_overlong_integer_is_rejected_under_the_digit_limit(tmp_path, capsys):
+    # only `count` lifts Python's int/str digit limit; a diagram file is
+    # parsed under it, so a 5000-digit field is not an integer
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        path = write(tmp_path, "long.diag", INDEX2_TEXT[:-1] + "5" * 5000)
+        code, out, err = run(capsys, "decide", "normal", path)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert "field 'base' is not an integer" in err
+
+
 # --- export -----------------------------------------------------------------
 
 
@@ -440,6 +470,17 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0
     assert out.startswith("graph barycentric {")
     assert out.count("--") == 2
+
+
+def test_export_dot_bytes_are_pinned(tmp_path, capsys):
+    from trivalent import selftest
+
+    d = selftest.random_trivalent(random.Random(2584), 600)
+    path = write(tmp_path, "d.diag", d.to_text())
+    code, out, _ = run(capsys, "export", "dot", path)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "413679f9c488713508c1bfcebd39154c1f17e1b39e65cd9046dc299ea2dbf31c"
 
 
 # --- selftest ----------------------------------------------------------------

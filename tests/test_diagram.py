@@ -16,14 +16,11 @@ from trivalent.diagram import (
     barycentric_graph,
     canonical_code,
     canonical_representative,
-    conjugate_subgroups,
     is_normal,
     normality_conflict,
     parse_diagram_text,
-    pointed_isomorphic,
     pointed_morphism,
     pointed_morphism_conflict,
-    subgroup_includes,
 )
 from trivalent import selftest
 from trivalent.census import enumerate_size
@@ -62,7 +59,7 @@ def brute_force_morphism_exists(src, base_src, dst, base_dst):
 def test_valid_construction():
     assert TERMINAL.n == 1 and TERMINAL.trivalent
     assert INDEX2.trivalent
-    d = Diagram([1, 2, 0], [0, 1, 2], require_trivalent=True)
+    d = Diagram([1, 2, 0], [0, 1, 2])
     assert d.trivalent
 
 
@@ -81,11 +78,11 @@ def test_rejects_non_involution():
 
 
 def test_rejects_trivalence_violation():
-    with pytest.raises(ValueError):
-        Diagram([1, 0], [0, 1], require_trivalent=True)
-    # same permutations accepted without the flag
+    # a vertex of degree 2 makes a valid diagram that is not trivalent
     d = Diagram([1, 0], [0, 1])
     assert not d.trivalent
+    parsed, _ = parse_diagram_text("n=2;\nrot=[1,0];\ninv=[1,0]")
+    assert not parsed.trivalent
 
 
 def test_immutability():
@@ -163,17 +160,18 @@ def test_morphism_is_equivariant_when_found():
 
 
 def test_pointed_isomorphic_examples():
+    # between equal arc counts a pointed morphism is a pointed isomorphism
     p = pointed(NORMAL6_B, 1)
-    assert pointed_isomorphic(p, p)
+    assert pointed_morphism(p, p) is not None
     # normal diagram: all pointings are pairwise isomorphic
     for a in range(3):
         for b in range(3):
-            assert pointed_isomorphic(pointed(CYCLE3, a), pointed(CYCLE3, b))
+            assert pointed_morphism(pointed(CYCLE3, a), pointed(CYCLE3, b)) is not None
     # the two size-3 classes are never pointed-isomorphic
     other3 = Diagram([1, 2, 0], [0, 2, 1])
     for a in range(3):
         for b in range(3):
-            assert not pointed_isomorphic(pointed(CYCLE3, a), pointed(other3, b))
+            assert pointed_morphism(pointed(CYCLE3, a), pointed(other3, b)) is None
 
 
 def test_antisymmetry_gives_mutually_inverse_maps():
@@ -187,13 +185,13 @@ def test_antisymmetry_gives_mutually_inverse_maps():
 
 
 def test_subgroup_includes_examples():
+    # inclusion is a pointed morphism from the larger index to the smaller:
     # every subgroup is contained in the whole group
     for d in (INDEX2, CYCLE3, NORMAL6_A):
-        assert subgroup_includes(pointed(d), pointed(TERMINAL))
+        assert pointed_morphism(pointed(d), pointed(TERMINAL)) is not None
     # mutual inclusion only for isomorphic pointings
     p, q = pointed(NORMAL6_A, 0), pointed(NORMAL6_A, 4)
-    assert subgroup_includes(p, q) and subgroup_includes(q, p)
-    assert pointed_isomorphic(p, q)
+    assert pointed_morphism(p, q) is not None and pointed_morphism(q, p) is not None
 
 
 def test_level2_subgroup_inside_index2():
@@ -201,10 +199,10 @@ def test_level2_subgroup_inside_index2():
     # The index-2 diagram is normal, so both its pointings fix the same
     # subgroup and both admit the inclusion morphism.
     for b in range(2):
-        assert subgroup_includes(pointed(NORMAL6_A, 0), pointed(INDEX2, b))
+        assert pointed_morphism(pointed(NORMAL6_A, 0), pointed(INDEX2, b)) is not None
         assert brute_force_morphism_exists(NORMAL6_A, 0, INDEX2, b)
     # and not conversely: index 2 does not include into index 6
-    assert not subgroup_includes(pointed(INDEX2, 0), pointed(NORMAL6_A, 0))
+    assert pointed_morphism(pointed(INDEX2, 0), pointed(NORMAL6_A, 0)) is None
 
 
 # --- canonical codes -------------------------------------------------------------
@@ -327,15 +325,10 @@ def test_orbit_algorithm_on_psl2_diagrams_and_a_cover():
 
 
 def test_conjugate_subgroups_examples():
-    # two pointings of one diagram are conjugate
-    assert conjugate_subgroups(pointed(NORMAL6_A, 0), pointed(NORMAL6_A, 5))
-    # the three pointings of the non-normal size-3 diagram are conjugate
+    # conjugacy forgets the base point: normal vs non-normal size-3 classes
+    # are not conjugate
     other3 = Diagram([1, 2, 0], [0, 2, 1])
-    for a in range(3):
-        for b in range(3):
-            assert conjugate_subgroups(pointed(other3, a), pointed(other3, b))
-    # normal vs non-normal size-3 classes are not conjugate
-    assert not conjugate_subgroups(pointed(CYCLE3, 0), pointed(other3, 0))
+    assert canonical_code(CYCLE3) != canonical_code(other3)
 
 
 # --- text format -----------------------------------------------------------------
@@ -356,39 +349,58 @@ def test_text_whitespace_insensitive():
     assert d == INDEX2 and base == 1
 
 
+PARSE_ERRORS = [
+    ("n=2; rot=[0,x]; inv=[1,0]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=2; rot=[0,1]", "missing field 'inv'", 1, 15),
+    ("n=3; rot=[0,1]; inv=[1,0]", "n=3 but rot has 2 entries and inv has 2", 1, 1),
+    ("n=2; rot=[0,1]; inv=[1,0]; base=7", "base=7 out of range 0..1", 1, 28),
+    ("n=2; rot=[0,1]; inv=[1,0]; color=red", "unknown field 'color'", 1, 28),
+    ("n=2; rot=[0,0]; inv=[1,0]", "rot is not a permutation: image 0 repeated", 1, 6),
+    ("n=2; n=2", "duplicate field 'n'", 1, 6),
+    ("n=x; rot=[]; inv=[]", "field 'n' is not an integer: 'x'", 1, 1),
+    ("n=2; rot=0,1; inv=[1,0]", "field 'rot' must be a bracketed list", 1, 6),
+    ("n=2; rot=[0,1]; inv=[1,1]", "inv is not a permutation: image 1 repeated", 1, 6),
+    ("n=0; rot=[]; inv=[]", "a diagram needs at least one arc", 1, 6),
+    ("\n\n  n=1;rot=[0];inv=[0];\n  bogus", "expected key=value, got 'bogus'", 4, 3),
+    ("n=2;\nrot=[0,0];\ninv=[1,0]", "rot is not a permutation: image 0 repeated", 2, 1),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(DiagramParseError) as info:
-        parse_diagram_text("n=2; rot=[0,x]; inv=[1,0]")
-    assert info.value.line == 1 and info.value.column > 1
-    with pytest.raises(DiagramParseError):
-        parse_diagram_text("n=2; rot=[0,1]")  # missing inv
-    with pytest.raises(DiagramParseError):
-        parse_diagram_text("n=3; rot=[0,1]; inv=[1,0]")  # length mismatch
-    with pytest.raises(DiagramParseError):
-        parse_diagram_text("n=2; rot=[0,1]; inv=[1,0]; base=7")
-    with pytest.raises(DiagramParseError):
-        parse_diagram_text("n=2; rot=[0,1]; inv=[1,0]; color=red")
-    with pytest.raises(DiagramParseError):
-        parse_diagram_text("n=2; rot=[0,0]; inv=[1,0]")  # not a permutation
-    with pytest.raises(DiagramParseError) as info:
-        parse_diagram_text("n=2;\nrot=[1,0];\ninv=[1,0]", require_trivalent=True)
-    assert info.value.line == 2
+    for text, message, line, column in PARSE_ERRORS:
+        with pytest.raises(DiagramParseError) as info:
+            parse_diagram_text(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == "%s (line %d, column %d)" % (message, line, column)
 
 
 # --- barycentric subdivision --------------------------------------------------------
 
 
+def white_degrees(g):
+    degrees = [0] * g.white_count
+    for _, w in g.edges:
+        degrees[w] += 1
+    return degrees
+
+
+def is_clean(g):
+    """White degrees are 1 (folded edge) or 2; the coloring is proper by
+    construction."""
+    return all(1 <= deg <= 2 for deg in white_degrees(g))
+
+
 def test_barycentric_terminal():
     g = barycentric_graph(TERMINAL)
     assert (g.black_count, g.white_count, len(g.edges)) == (1, 1, 1)
-    assert g.is_clean()
+    assert is_clean(g)
 
 
 def test_barycentric_index2():
     g = barycentric_graph(INDEX2)
     assert (g.black_count, g.white_count, len(g.edges)) == (2, 1, 2)
-    assert g.white_degrees() == [2]
-    assert g.is_clean()
+    assert white_degrees(g) == [2]
+    assert is_clean(g)
 
 
 def test_barycentric_two_vertex_seven_arc_example():
@@ -398,8 +410,8 @@ def test_barycentric_two_vertex_seven_arc_example():
     assert not d.trivalent
     g = barycentric_graph(d)
     assert (g.black_count, g.white_count, len(g.edges)) == (2, 5, 7)
-    assert sorted(g.white_degrees()) == [1, 1, 1, 2, 2]
-    assert g.is_clean()
+    assert sorted(white_degrees(g)) == [1, 1, 1, 2, 2]
+    assert is_clean(g)
 
 
 def test_barycentric_always_clean_on_census_samples():
@@ -407,7 +419,7 @@ def test_barycentric_always_clean_on_census_samples():
 
     for size in range(1, 7):
         for d in enumerate_size(size).class_representatives:
-            assert barycentric_graph(d).is_clean()
+            assert is_clean(barycentric_graph(d))
 
 
 def test_dot_output_shape():
