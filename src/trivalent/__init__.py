@@ -6,11 +6,12 @@ involution.
 The main entry points:
 
 - `series`: exact truncated power series and the Euler/Moebius transforms;
-- `cycleindex`: cycle types and the commuting fixed-point counts that make
-  up the factored cycle indices;
-- `diagram`: the diagram data model and its decision procedures: inclusion
-  through `pointed_morphism`, conjugacy through `canonical_code`, normality
-  through `is_normal`;
+- `cycleindex`: cycle types (tuples of (length, multiplicity) pairs) and
+  the commuting fixed-point counts that make up the factored cycle indices;
+- `diagram`: the diagram data model, whose `Diagram` values are connected
+  by construction, and its decision procedures: inclusion through
+  `pointed_morphism`, conjugacy through `canonical_code`, normality through
+  `is_normal`;
 - `census`: exhaustive brute-force enumeration at small size;
 - `counting`: the generating-series pipelines (subgroup counts, conjugacy
   class counts by the fast factored route and by the dense Burnside
@@ -24,7 +25,7 @@ from .series import (
     inverse_euler_transform,
     moebius_mu,
 )
-from .cycleindex import CycleType, count_commuting_order_p
+from .cycleindex import count_commuting_order_p
 from .diagram import (
     BicoloredGraph,
     Diagram,
@@ -57,7 +58,6 @@ __all__ = [
     "euler_transform",
     "inverse_euler_transform",
     "moebius_mu",
-    "CycleType",
     "count_commuting_order_p",
     "BicoloredGraph",
     "Diagram",

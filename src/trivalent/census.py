@@ -23,15 +23,12 @@ b == start closes the cycle (for inv: a folded edge), b == used is a fresh
 arc, and any other b splices in another chain.  The trivalent flavor keeps
 cycle lengths at 1 or 3: it never closes a chain of length 2 and never joins
 chains of more than 3 arcs in total (a fresh arc is a chain of length 1).
-
-A naive mode (`count_transitive_pairs`) filters all permutation pairs for
-transitivity; it is exponentially slower and exists solely to validate the
-backtracking enumerator at tiny sizes.
+`selftest` validates the enumerator at tiny sizes against a brute-force
+count of all transitive permutation pairs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .diagram import Diagram, canonical_code, canonical_representative, is_normal
@@ -148,34 +145,3 @@ def enumerate_normal(n: int, trivalent: bool = True) -> list:
     arc-transitive (normal subgroups of the classified group)."""
     report = enumerate_size(n, trivalent)
     return [d for d in report.class_representatives if is_normal(d)]
-
-
-def count_transitive_pairs(n: int, trivalent: bool = True) -> int:
-    """Labeled count by brute force: pairs (rot, inv) of permutations of n
-    points with inv^2 = id (and rot^3 = id in the trivalent flavor) that act
-    transitively.  Exponential; intended for n <= 7."""
-    if n < 1:
-        raise ValueError("size must be >= 1, got %d" % n)
-    perms = list(itertools.permutations(range(n)))
-    invs = [p for p in perms if all(p[p[i]] == i for i in range(n))]
-    if trivalent:
-        rots = [p for p in perms if all(p[p[p[i]]] == i for i in range(n))]
-    else:
-        rots = perms
-    count = 0
-    for rot in rots:
-        for inv in invs:
-            seen = 1
-            mark = [False] * n
-            mark[0] = True
-            stack = [0]
-            while stack:
-                a = stack.pop()
-                for b in (rot[a], inv[a]):
-                    if not mark[b]:
-                        mark[b] = True
-                        seen += 1
-                        stack.append(b)
-            if seen == n:
-                count += 1
-    return count

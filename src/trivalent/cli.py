@@ -205,12 +205,9 @@ def _read_diagram_file(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     try:
-        d, base = parse_diagram_text(text)
+        return parse_diagram_text(text)
     except DiagramParseError as exc:
         raise InputError("%s: %s" % (path, exc)) from None
-    if not d.is_connected():
-        raise InputError("%s: diagram is not connected" % path)
-    return d, base
 
 
 def _pointed(path: str) -> PointedDiagram:

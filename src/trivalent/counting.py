@@ -26,10 +26,10 @@ turns the whole computation into one short log per k:
     sum_{r>=1} mu(r)/r · sum_{k>=1} log( sum_n c[k][n] t^{r k n} )
 
 where c[k][n] is the (rational) condensed coefficient built from the two
-per-column fixed-point counts.  Each log is computed once per k on the
-compressed coefficient list and reused for every r, which keeps the total
-work near O(N^2) exact-rational operations for truncation order N.  The
-weight-500 coefficients take a few seconds this way.
+per-column fixed-point counts.  Each log is computed once per k, by
+`TruncSeries.log` on the compressed column, and reused for every r, which
+keeps the total work near O(N^2) exact-rational operations for truncation
+order N.  The weight-500 coefficients take a few seconds this way.
 
 The six-term recurrence for a*_n (quartic/quintic polynomial coefficients)
 mirrors the holonomic equation satisfied by the defining exponentials; it is
@@ -42,19 +42,13 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .series import (
-    TruncSeries,
-    _log_coefficients,
-    _power_sum,
-    inverse_euler_transform,
-    moebius_sieve,
-)
+from .series import TruncSeries, _power_sum, inverse_euler_transform, moebius_sieve
 from .cycleindex import (
     DENSE_WEIGHT_CAP,
-    CycleType,
+    centralizer_order,
     commuting_order_p_counts,
     count_commuting_order_p,
-    cycle_types_up_to,
+    cycle_types,
 )
 
 _ZERO = Fraction(0)
@@ -158,9 +152,9 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
     """
     lg = [_ZERO] * (order + 1)
     for k in range(1, order + 1):
-        column = _condensed_column(k, order // k, general)
-        col_log = _log_coefficients(column)
-        for j in range(1, order // k + 1):
+        m_max = order // k
+        col_log = TruncSeries(m_max, _condensed_column(k, m_max, general)).log().coeffs
+        for j in range(1, m_max + 1):
             if col_log[j]:
                 lg[k * j] += col_log[j]
     result = TruncSeries(order, _power_sum(lg, moebius_sieve(order)))
@@ -168,7 +162,7 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
     return result
 
 
-def _burnside_term(ctype: CycleType, general: bool) -> Fraction:
+def _burnside_term(ctype, general: bool) -> Fraction:
     """fix(lambda)/z(lambda) for the cycle type lambda: a permutation fixes a
     structure when it commutes with both of its permutations, so fix is
     fix_2·fix_3.  In the general flavor the second permutation is arbitrary
@@ -177,7 +171,7 @@ def _burnside_term(ctype: CycleType, general: bool) -> Fraction:
     fixed = count_commuting_order_p(2, ctype)
     if general:
         return Fraction(fixed)
-    return Fraction(fixed * count_commuting_order_p(3, ctype), ctype.centralizer_order())
+    return Fraction(fixed * count_commuting_order_p(3, ctype), centralizer_order(ctype))
 
 
 def conjugacy_class_series_dense(order: int, general: bool = False) -> TruncSeries:
@@ -190,8 +184,9 @@ def conjugacy_class_series_dense(order: int, general: bool = False) -> TruncSeri
             % (DENSE_WEIGHT_CAP, order)
         )
     types = [_ZERO] * (order + 1)
-    for ctype in cycle_types_up_to(order):
-        types[ctype.weight] += _burnside_term(ctype, general)
+    for weight in range(order + 1):
+        for ctype in cycle_types(weight):
+            types[weight] += _burnside_term(ctype, general)
     result = inverse_euler_transform(TruncSeries(order, types))
     result.integer_coefficients()
     return result

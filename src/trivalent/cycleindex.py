@@ -17,7 +17,8 @@ This module keeps the integers only: `commuting_order_p_counts` gives one
 column a[k][0..m] for a prime order p, and `count_commuting_order_p` the
 count for a whole cycle type, the product of its columns' entries.
 `counting` builds the fast route's condensed columns from the former and the
-dense Burnside oracle from the latter.
+dense Burnside oracle from the latter and `centralizer_order`.  A cycle type
+is a plain tuple of (length, multiplicity) pairs, as `cycle_types` yields it.
 """
 
 from __future__ import annotations
@@ -29,67 +30,21 @@ import math
 DENSE_WEIGHT_CAP = 24
 
 
-class CycleType:
-    """The cycle type of a permutation, as sorted (length, multiplicity) pairs.
-
-    The empty type (weight 0) is allowed and denotes the type of the empty
-    permutation.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs=()):
-        pairs = tuple((int(k), int(m)) for k, m in pairs)
-        last = 0
-        for k, m in pairs:
-            if k <= last:
-                raise ValueError("cycle lengths must be strictly increasing")
-            if m < 1:
-                raise ValueError("multiplicities must be positive")
-            last = k
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleType is immutable")
-
-    @property
-    def weight(self) -> int:
-        return sum(k * m for k, m in self.pairs)
-
-    def centralizer_order(self) -> int:
-        """prod k^{m_k} m_k!, the order of the centralizer in the symmetric group."""
-        z = 1
-        for k, m in self.pairs:
-            z *= k**m * math.factorial(m)
-        return z
-
-    def __eq__(self, other):
-        if not isinstance(other, CycleType):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return "CycleType(%r)" % (self.pairs,)
-
-
 def cycle_types(weight: int):
-    """Iterate all cycle types of the given weight."""
-    def parts(n, maxp):
-        if n == 0:
+    """Iterate the cycle types of the given weight, each a tuple of
+    (length, multiplicity) pairs with strictly increasing lengths and
+    positive multiplicities; weight 0 has the one empty type ()."""
+    def types(rest, least):
+        # the types of weight `rest` whose lengths are all >= least
+        if rest == 0:
             yield ()
             return
-        for p in range(min(n, maxp), 0, -1):
-            for rest in parts(n - p, p):
-                yield rest + (p,)
+        for k in range(least, rest + 1):
+            for m in range(1, rest // k + 1):
+                for tail in types(rest - k * m, k + 1):
+                    yield ((k, m),) + tail
 
-    for partition in parts(weight, weight):
-        counts = {}
-        for p in partition:
-            counts[p] = counts.get(p, 0) + 1
-        yield CycleType(sorted(counts.items()))
+    return types(weight, 1)
 
 
 def cycle_types_up_to(max_weight: int):
@@ -124,7 +79,16 @@ def commuting_order_p_counts(p: int, k: int, n_max: int) -> list:
     return out
 
 
-def count_commuting_order_p(p: int, ctype: CycleType) -> int:
+def centralizer_order(ctype) -> int:
+    """prod k^m·m! over the (k, m) pairs of a cycle type: the order of the
+    centralizer in the symmetric group of a permutation of that type."""
+    z = 1
+    for k, m in ctype:
+        z *= k**m * math.factorial(m)
+    return z
+
+
+def count_commuting_order_p(p: int, ctype) -> int:
     """Number of permutations tau with tau^p = id (p prime) commuting with a
     permutation of the given cycle type.
 
@@ -132,6 +96,6 @@ def count_commuting_order_p(p: int, ctype: CycleType) -> int:
     cycle lengths of the type.
     """
     total = 1
-    for k, m in ctype.pairs:
+    for k, m in ctype:
         total *= commuting_order_p_counts(p, k, m)[m]
     return total

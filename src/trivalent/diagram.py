@@ -2,15 +2,16 @@
 
 A diagram is a set of n arcs (numbered 0..n-1) together with a rotation
 permutation `rot` (one step of the cyclic orientation around a vertex) and an
-involution `inv` (reversal of an arc).  Vertices are the rot-orbits, edges
+involution `inv` (reversal of an arc) that together act transitively: a
+`Diagram` is connected by construction.  Vertices are the rot-orbits, edges
 the inv-orbits; an inv-fixed arc is a folded (external) edge.  A diagram is
 *trivalent* when rot has order dividing 3, i.e. every vertex has degree 1
 or 3.
 
-Connected diagrams pointed at a base arc classify finite-index subgroups of
-the group generated by one element of infinite order and one involution
-(with the trivalence constraint: of the modular group); forgetting the base
-point classifies subgroups up to conjugacy.  This module implements the
+Diagrams pointed at a base arc classify finite-index subgroups of the group
+generated by one element of infinite order and one involution (with the
+trivalence constraint: of the modular group); forgetting the base point
+classifies subgroups up to conjugacy.  This module implements the
 decision procedures that make those classifications effective:
 
 - inclusion as a base-point-preserving equivariant map (between equal arc
@@ -62,10 +63,27 @@ def _check_permutation(name: str, images, n: Optional[int] = None) -> tuple:
     return images
 
 
-class Diagram:
-    """A set of arcs with a rotation permutation and an arc involution."""
+def _transitive(rot, inv) -> bool:
+    """True iff the permutations rot and inv of arcs 0..n-1 act transitively."""
+    seen = [False] * len(rot)
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        a = stack.pop()
+        for b in (rot[a], inv[a]):
+            if not seen[b]:
+                seen[b] = True
+                count += 1
+                stack.append(b)
+    return count == len(rot)
 
-    __slots__ = ("n", "rot", "inv", "_rot_inverse", "_connected")
+
+class Diagram:
+    """A set of arcs with a rotation permutation and an arc involution that
+    together act transitively on it."""
+
+    __slots__ = ("n", "rot", "inv")
 
     def __init__(self, rot, inv):
         rot = _check_permutation("rot", rot)
@@ -76,51 +94,20 @@ class Diagram:
         for a in range(n):
             if inv[inv[a]] != a:
                 raise ValueError("inv is not an involution (at arc %d)" % a)
+        if not _transitive(rot, inv):
+            raise ValueError("diagram is not connected")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_rot_inverse", None)
-        object.__setattr__(self, "_connected", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
-
-    @property
-    def rot_inverse(self) -> tuple:
-        cached = self._rot_inverse
-        if cached is None:
-            cached = [0] * self.n
-            for a, b in enumerate(self.rot):
-                cached[b] = a
-            cached = tuple(cached)
-            object.__setattr__(self, "_rot_inverse", cached)
-        return cached
 
     @property
     def trivalent(self) -> bool:
         """True iff rot^3 = id: every vertex has degree 1 or 3."""
         rot = self.rot
         return all(rot[rot[rot[a]]] == a for a in range(self.n))
-
-    def is_connected(self) -> bool:
-        """True iff rot and inv together act transitively on the arcs."""
-        cached = self._connected
-        if cached is None:
-            seen = [False] * self.n
-            seen[0] = True
-            stack = [0]
-            count = 1
-            rot, inv = self.rot, self.inv
-            while stack:
-                a = stack.pop()
-                for b in (rot[a], inv[a]):
-                    if not seen[b]:
-                        seen[b] = True
-                        count += 1
-                        stack.append(b)
-            cached = count == self.n
-            object.__setattr__(self, "_connected", cached)
-        return cached
 
     def relabel(self, perm) -> "Diagram":
         """Conjugate both permutations by `perm` (arc i becomes perm[i])."""
@@ -152,15 +139,13 @@ class Diagram:
 
 
 class PointedDiagram:
-    """A connected diagram with a distinguished base arc."""
+    """A diagram with a distinguished base arc."""
 
     __slots__ = ("diagram", "base")
 
     def __init__(self, diagram: Diagram, base: int):
         if not 0 <= base < diagram.n:
             raise ValueError("base arc %d out of range 0..%d" % (base, diagram.n - 1))
-        if not diagram.is_connected():
-            raise ValueError("pointed diagrams must be connected")
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "base", base)
 
@@ -203,7 +188,10 @@ def parse_diagram_text(text: str):
     """
 
     def error(message, offset):
-        # the position of the first non-space character at or after offset
+        # messages echo the input, so a long one is cut; the position is
+        # that of the first non-space character at or after offset
+        if len(message) > 160:
+            message = message[:150] + "..."
         while offset < len(text) and text[offset].isspace():
             offset += 1
         prefix = text[:offset]
@@ -378,7 +366,10 @@ def _canonical_form(d: Diagram) -> tuple:
     base's class, or 1 when no automorphism was found.
     """
     n = d.n
-    rot, rot_inv, inv = d.rot, d.rot_inverse, d.inv
+    rot, inv = d.rot, d.inv
+    rot_inv = [0] * n
+    for a, b in enumerate(rot):
+        rot_inv[b] = a
     label = [-1] * n
     parent = None  # union-find of the automorphism orbits, once one is found
     best_rot = best_inv = best_order = None
@@ -432,14 +423,14 @@ def _encode(n: int, rot: tuple, inv: tuple) -> bytes:
 
 
 def canonical_code(d: Diagram) -> bytes:
-    """A complete isomorphism invariant of connected diagrams.
+    """A complete isomorphism invariant of diagrams.
 
     Every base arc induces one relabeling (pointed diagrams are rigid, so it
     is well defined): arcs are numbered in breadth-first discovery order from
     the base, generators applied in the order [rot, rot^-1, inv].  The code
     is the serialization of the least relabeled pair, comparing the whole
-    rot array first and the inv array only on a tie.  Two connected diagrams
-    are isomorphic iff their codes are equal.
+    rot array first and the inv array only on a tie.  Two diagrams are
+    isomorphic iff their codes are equal.
 
     The search emits each base's rot array one entry at a time and drops the
     base at the first entry above the best so far, which makes it
@@ -447,29 +438,23 @@ def canonical_code(d: Diagram) -> bytes:
     automorphism outside the group found so far (at most log2 |Aut| of
     them), and bases in the orbit of an examined base are skipped.
     """
-    if not d.is_connected():
-        raise ValueError("canonical codes are defined for connected diagrams only")
     rot, inv, _ = _canonical_form(d)
     return _encode(d.n, rot, inv)
 
 
 def canonical_representative(d: Diagram) -> Diagram:
     """The canonically relabeled isomorphic copy of `d` (same code)."""
-    if not d.is_connected():
-        raise ValueError("canonical form is defined for connected diagrams only")
     rot, inv, _ = _canonical_form(d)
     return Diagram(rot, inv)
 
 
 def automorphisms(d: Diagram) -> list:
-    """All automorphisms of a connected diagram, as image tuples.
+    """All automorphisms of a diagram, as image tuples.
 
     Each arc a with a pointed morphism (d, 0) -> (d, a) contributes exactly
     one; such a self-map is automatically bijective.  Runs all n closures;
     it is the reference that `automorphism_order` is tested against.
     """
-    if not d.is_connected():
-        raise ValueError("automorphisms computed for connected diagrams only")
     maps = []
     for a in range(d.n):
         m, _ = _close(d, 0, d, a)
@@ -479,12 +464,10 @@ def automorphisms(d: Diagram) -> list:
 
 
 def automorphism_order(d: Diagram) -> int:
-    """|Aut(d)| for connected d, from one canonical search: Aut acts freely
-    on the arcs, so |Aut| is the size of the Aut-orbit of the best base; the
-    bases that tie with it are that orbit, and `_canonical_form` gathers
-    each into the best base's union-find class, merged or skipped."""
-    if not d.is_connected():
-        raise ValueError("automorphisms and normality are decided for connected diagrams only")
+    """|Aut(d)| from one canonical search: Aut acts freely on the arcs, so
+    |Aut| is the size of the Aut-orbit of the best base; the bases that tie
+    with it are that orbit, and `_canonical_form` gathers each into the
+    best base's union-find class, merged or skipped."""
     return _canonical_form(d)[2]
 
 
@@ -498,8 +481,6 @@ def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
     automorphisms found so far (at most log2 |Aut| of them, each outside
     the group of the earlier ones), and the first failure is returned.
     """
-    if not d.is_connected():
-        raise ValueError("automorphisms and normality are decided for connected diagrams only")
     parent = list(range(d.n))
     for a in range(1, d.n):
         if _find(parent, a) != a:

@@ -83,7 +83,7 @@ def check_column_normalisation(max_weight):
     for general in (False, True):
         for ctype in cycle_types_up_to(max_weight):
             product = Fraction(1)
-            for k, m in ctype.pairs:
+            for k, m in ctype:
                 product *= counting._condensed_column(k, m, general)[m]
             if product != counting._burnside_term(ctype, general):
                 _fail("column-normalisation", "%r%s: columns give %s"
@@ -120,6 +120,34 @@ def check_census(max_size):
     return totals
 
 
+def brute_transitive_pairs(n, trivalent=True):
+    """Labeled count by brute force: pairs (rot, inv) of permutations of n
+    points with inv^2 = id (and rot^3 = id in the trivalent flavor) that act
+    transitively.  Exponential; intended for n <= 7."""
+    if n < 1:
+        raise ValueError("size must be >= 1, got %d" % n)
+    perms = list(itertools.permutations(range(n)))
+    invs = [p for p in perms if all(p[p[i]] == i for i in range(n))]
+    if trivalent:
+        rots = [p for p in perms if all(p[p[p[i]]] == i for i in range(n))]
+    else:
+        rots = perms
+    return sum(diagram._transitive(rot, inv) for rot in rots for inv in invs)
+
+
+def check_census_vs_brute(max_trivalent, max_general):
+    """The census's labelled connected counts against the brute-force count
+    of transitive pairs, for trivalent sizes up to max_trivalent and general
+    sizes up to max_general."""
+    for trivalent, max_size in ((True, max_trivalent), (False, max_general)):
+        for n in range(1, max_size + 1):
+            labelled = census.enumerate_size(n, trivalent).labelled_connected
+            brute = brute_transitive_pairs(n, trivalent)
+            if labelled != brute:
+                _fail("census-vs-brute", "%s size %d: census %d, brute force %d"
+                      % ("trivalent" if trivalent else "general", n, labelled, brute))
+
+
 def check_normal_structure():
     expected = {3: 1, 5: 0, 6: 2}
     found = {size: census.enumerate_normal(size) for size in expected}
@@ -144,9 +172,9 @@ def check_normal_structure():
 def brute_commuting(p, ctype):
     """Count tau with tau^p = id commuting with a permutation of `ctype`,
     by enumerating all permutations."""
-    n = ctype.weight
+    n = sum(k * m for k, m in ctype)
     sigma = []
-    for k, m in ctype.pairs:
+    for k, m in ctype:
         for _ in range(m):
             start = len(sigma)
             sigma.extend(list(range(start + 1, start + k)) + [start])
@@ -171,7 +199,7 @@ def check_commuting_counts(max_weight, primes=(2, 3)):
                 if formula != brute:
                     _fail("commuting-counts",
                           "p=%d type %r: formula %d, brute force %d"
-                          % (p, ct.pairs, formula, brute))
+                          % (p, ct, formula, brute))
 
 
 def brute_isomorphic(d1, d2):
@@ -216,7 +244,10 @@ def check_canonical_codes(rng, sizes, relabelings):
 def brute_relabeling(d, base):
     """Labels arcs by breadth-first discovery from `base`, applying
     generators in the order [rot, rot^-1, inv].  Returns the label array."""
-    rot, rot_inv, inv = d.rot, d.rot_inverse, d.inv
+    rot, inv = d.rot, d.inv
+    rot_inv = [0] * d.n
+    for a, b in enumerate(rot):
+        rot_inv[b] = a
     label = [-1] * d.n
     label[base] = 0
     order = [base]
@@ -265,9 +296,8 @@ def random_trivalent(rng, n, attempts=1000):
         for i in range(folded, n, 2):
             a, b = arcs[i:i + 2]
             inv[a], inv[b] = b, a
-        d = diagram.Diagram(rot, inv)
-        if d.is_connected():
-            return d
+        if diagram._transitive(rot, inv):
+            return diagram.Diagram(rot, inv)
     raise SelfTestFailure("no connected trivalent diagram on %d arcs in %d attempts"
                           % (n, attempts))
 
@@ -320,9 +350,8 @@ def random_cover(d, sheets, rng, attempts=100):
                     lift[b][j] = i
         rot = [d.rot[a] * sheets + i for a in range(d.n) for i in range(sheets)]
         inv = [d.inv[a] * sheets + lift[a][i] for a in range(d.n) for i in range(sheets)]
-        cover = diagram.Diagram(rot, inv)
-        if cover.is_connected():
-            return cover
+        if diagram._transitive(rot, inv):
+            return diagram.Diagram(rot, inv)
     raise SelfTestFailure("no connected %d-fold cover in %d attempts" % (sheets, attempts))
 
 
@@ -401,6 +430,7 @@ def run_selftest(full: bool, report=print) -> bool:
         ("column-normalisation-weight-8", lambda: check_column_normalisation(8)),
         ("reference-order-20", lambda: check_reference(20)),
         ("census-to-size-8", lambda: check_census(8)),
+        ("census-vs-brute", lambda: check_census_vs_brute(6, 5)),
         ("normal-structure", check_normal_structure),
         ("commuting-counts-weight-5", lambda: check_commuting_counts(5)),
         ("canonical-codes", lambda: check_canonical_codes(random.Random(1729), (5, 6, 7), 5)),

@@ -11,9 +11,9 @@ exp and log are computed by the usual first-order ODE recurrences on
 coefficients (g' = f'·g and l'·f = f'), which cost O(N^2) rational
 operations.  That is entirely adequate for truncation orders in the
 hundreds, which is as far as this package ever pushes a dense series.  The
-recurrences live in one pair of coefficient-list functions: `TruncSeries`
-and the Euler transforms call both, and the class-count route also calls
-the log on each compressed cycle-index column.
+recurrences live in `TruncSeries.exp` and `TruncSeries.log` only: the Euler
+transforms call both, and the class-count route takes the log of each
+compressed cycle-index column as a series of its own.
 """
 
 from __future__ import annotations
@@ -30,36 +30,6 @@ def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float coefficient %r; use Fraction or int" % value)
     return Fraction(value)
-
-
-def _exp_coefficients(f) -> list:
-    """exp of the coefficient list f (f[0] = 0, not checked), by the
-    recurrence n·g_n = sum_{k=1..n} k·f_k·g_{n-k} derived from g' = f'·g."""
-    n = len(f) - 1
-    g = [_ONE] + [_ZERO] * n
-    for m in range(1, n + 1):
-        acc = _ZERO
-        for k in range(1, m + 1):
-            fk = f[k]
-            if fk:
-                acc += k * fk * g[m - k]
-        g[m] = acc / m
-    return g
-
-
-def _log_coefficients(f) -> list:
-    """log of the coefficient list f (f[0] = 1, not checked), by the
-    recurrence from l'·f = f'; inverse of `_exp_coefficients`."""
-    n = len(f) - 1
-    l = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        acc = m * f[m]
-        for k in range(1, m):
-            fk = f[m - k]
-            if fk and l[k]:
-                acc -= k * l[k] * fk
-        l[m] = acc / m
-    return l
 
 
 def _power_sum(f, weights) -> list:
@@ -128,17 +98,36 @@ class TruncSeries:
         return "TruncSeries(order=%d, %s)" % (self.order, body)
 
     def exp(self) -> "TruncSeries":
-        """exp of a series with zero constant term; never touches floating
-        point."""
-        if self.coeffs[0] != 0:
+        """exp of a series with zero constant term, by the recurrence
+        n·g_n = sum_{k=1..n} k·f_k·g_{n-k} derived from g' = f'·g."""
+        f = self.coeffs
+        if f[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        return TruncSeries(self.order, _exp_coefficients(self.coeffs))
+        g = [_ONE] + [_ZERO] * self.order
+        for m in range(1, self.order + 1):
+            acc = _ZERO
+            for k in range(1, m + 1):
+                fk = f[k]
+                if fk:
+                    acc += k * fk * g[m - k]
+            g[m] = acc / m
+        return TruncSeries(self.order, g)
 
     def log(self) -> "TruncSeries":
-        """log of a series with constant term one; inverse of `exp`."""
-        if self.coeffs[0] != 1:
+        """log of a series with constant term one, by the recurrence from
+        l'·f = f'; inverse of `exp`."""
+        f = self.coeffs
+        if f[0] != 1:
             raise ValueError("log requires constant term 1")
-        return TruncSeries(self.order, _log_coefficients(self.coeffs))
+        l = [_ZERO] * (self.order + 1)
+        for m in range(1, self.order + 1):
+            acc = m * f[m]
+            for k in range(1, m):
+                fk = f[m - k]
+                if fk and l[k]:
+                    acc -= k * l[k] * fk
+            l[m] = acc / m
+        return TruncSeries(self.order, l)
 
     def euler_operator(self) -> "TruncSeries":
         """Apply t·d/dt: the coefficient of t^n becomes n times itself.

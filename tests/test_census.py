@@ -7,7 +7,6 @@ import pytest
 from trivalent.census import (
     CENSUS_CAP_GENERAL,
     CENSUS_CAP_TRIVALENT,
-    count_transitive_pairs,
     enumerate_normal,
     enumerate_size,
     pointed_structures,
@@ -21,7 +20,12 @@ from trivalent.diagram import (
     is_normal,
     parse_diagram_text,
 )
-from trivalent.selftest import brute_canonical_form, brute_relabeling
+from trivalent.selftest import (
+    brute_canonical_form,
+    brute_relabeling,
+    brute_transitive_pairs,
+    check_census_vs_brute,
+)
 
 # pointed and unpointed class counts per size, from the exhaustive tables
 TRIVALENT_POINTED = [1, 1, 4, 8, 5, 22, 42, 40, 120]
@@ -37,15 +41,13 @@ def test_trivalent_counts_to_size_9():
 
 
 def test_labelled_counts_match_naive_mode():
-    # the naive mode is the independent oracle for the backtracking enumerator
-    for n in range(1, 7):
-        assert count_transitive_pairs(n) == enumerate_size(n).labelled_connected
+    # the brute-force count of transitive pairs is the independent oracle
+    # for the backtracking enumerator
+    check_census_vs_brute(6, 0)
 
 
 def test_general_labelled_counts_match_naive_mode():
-    for n in range(1, 6):
-        assert count_transitive_pairs(n, trivalent=False) == \
-            enumerate_size(n, trivalent=False).labelled_connected
+    check_census_vs_brute(0, 5)
 
 
 def test_general_counts_small():
@@ -79,8 +81,7 @@ def test_structures_are_canonically_labeled_and_distinct(trivalent):
         for rot, inv in pointed_structures(n, trivalent):
             assert (rot, inv) not in seen
             seen.add((rot, inv))
-            d = Diagram(rot, inv)
-            assert d.is_connected()
+            d = Diagram(rot, inv)  # raises unless connected
             if trivalent:
                 assert d.trivalent
             # labels must equal breadth-first discovery order from arc 0
@@ -94,7 +95,6 @@ def test_representatives_properties():
         codes = set()
         for d in report.class_representatives:
             assert d.n == n
-            assert d.is_connected()
             assert d.trivalent
             codes.add(canonical_code(d))
             parsed, base = parse_diagram_text(d.to_text())
@@ -112,7 +112,6 @@ def test_general_flavor_representative_properties():
     for n in range(1, 6):
         report = enumerate_size(n, trivalent=False)
         for d in report.class_representatives:
-            assert d.is_connected()
             for a in range(d.n):
                 assert d.inv[d.inv[a]] == a
 
@@ -185,7 +184,7 @@ def test_size_validation():
     with pytest.raises(ValueError):
         enumerate_size(0)
     with pytest.raises(ValueError):
-        count_transitive_pairs(0)
+        brute_transitive_pairs(0)
 
 
 def test_larger_sizes_match_series():

@@ -429,9 +429,19 @@ def test_decide_parse_error_reports_position(tmp_path, capsys):
 
 def test_decide_disconnected_rejected(tmp_path, capsys):
     path = write(tmp_path, "d.diag", DISCONNECTED)
-    code, _, err = run(capsys, "decide", "normal", path)
-    assert code == cli.EXIT_INPUT
-    assert "connected" in err
+    code, out, err = run(capsys, "decide", "normal", path)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: %s: diagram is not connected (line 1, column 6)\n" % path
+
+
+@pytest.mark.parametrize("text", [INDEX2_TEXT[:-1] + "7" * 200000,
+                                  INDEX2_TEXT + "; " + "x" * 200000],
+                         ids=["long-base", "segment-without-equals"])
+def test_decide_parse_errors_echo_bounded_input(tmp_path, capsys, text):
+    path = write(tmp_path, "long.diag", text)
+    code, out, err = run(capsys, "decide", "normal", path)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert len(err.encode()) < 400
 
 
 def test_decide_missing_file(tmp_path, capsys):

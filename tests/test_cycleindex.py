@@ -19,7 +19,7 @@ from trivalent.counting import (
 )
 from trivalent.cycleindex import (
     DENSE_WEIGHT_CAP,
-    CycleType,
+    centralizer_order,
     commuting_order_p_counts,
     count_commuting_order_p,
     cycle_types,
@@ -32,24 +32,30 @@ Q = Fraction
 
 
 def ct(*pairs):
-    return CycleType(pairs)
+    return tuple(pairs)
 
 
 # --- cycle types -------------------------------------------------------------
 
 
 def test_cycle_type_validation():
-    with pytest.raises(ValueError):
-        CycleType(((2, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        CycleType(((1, 0),))
-    assert ct().weight == 0
+    # each type once, with strictly increasing lengths, positive
+    # multiplicities and the requested weight; weight 0 is the empty type
+    assert list(cycle_types(0)) == [()]
+    for w in range(13):
+        types = list(cycle_types(w))
+        assert len(set(types)) == len(types)
+        for ctype in types:
+            lengths = [k for k, _ in ctype]
+            assert lengths == sorted(set(lengths))
+            assert all(k >= 1 and m >= 1 for k, m in ctype)
+            assert sum(k * m for k, m in ctype) == w
 
 
 def test_centralizer_order():
-    assert ct((1, 4)).centralizer_order() == 24
-    assert ct((2, 2)).centralizer_order() == 8
-    assert ct((1, 2), (2, 1)).centralizer_order() == 4
+    assert centralizer_order(ct((1, 4))) == 24
+    assert centralizer_order(ct((2, 2))) == 8
+    assert centralizer_order(ct((1, 2), (2, 1))) == 4
 
 
 def test_cycle_type_counts_are_partition_numbers():
@@ -111,13 +117,13 @@ def test_commuting_counts_reject_composite_order():
 
 def burnside(weight, fixed):
     """Isomorphism types of size `weight`: sum of fixed(type)/z(type)."""
-    return sum(Q(fixed(c), c.centralizer_order()) for c in cycle_types(weight))
+    return sum(Q(fixed(c), centralizer_order(c)) for c in cycle_types(weight))
 
 
 def test_factored_order2_coefficients():
     # x_1 column of the order-2 factor: the involution counts
     assert commuting_order_p_counts(2, 1, 8)[:5] == [1, 1, 2, 4, 10]
-    assert Q(count_commuting_order_p(2, ct((1, 4))), ct((1, 4)).centralizer_order()) == Q(10, 24)
+    assert Q(count_commuting_order_p(2, ct((1, 4))), centralizer_order(ct((1, 4)))) == Q(10, 24)
 
 
 def test_factored_order3_coefficients():
@@ -161,7 +167,7 @@ def test_all_permutations_factored():
     for weight in range(6):
         for ctype in cycle_types(weight):
             sigma, start = [], 0
-            for k, m in ctype.pairs:
+            for k, m in ctype:
                 for _ in range(m):
                     sigma += [start + (i + 1) % k for i in range(k)]
                     start += k
@@ -169,7 +175,7 @@ def test_all_permutations_factored():
                 1 for tau in itertools.permutations(range(weight))
                 if all(tau[sigma[i]] == sigma[tau[i]] for i in range(weight))
             )
-            assert commuting == ctype.centralizer_order()
+            assert commuting == centralizer_order(ctype)
 
 
 # --- dense tables and the Hadamard product ---------------------------------------
@@ -178,7 +184,7 @@ def test_all_permutations_factored():
 def test_dense_from_factored_weight3_tables():
     # dense coefficients fix_p(type)/z(type), from the per-type counts
     def dense(p, *pairs):
-        return Q(count_commuting_order_p(p, ct(*pairs)), ct(*pairs).centralizer_order())
+        return Q(count_commuting_order_p(p, pairs), centralizer_order(pairs))
 
     assert dense(2, (1, 3)) == Q(4, 6)
     assert dense(2, (1, 1), (2, 1)) == Q(6, 6)
@@ -199,11 +205,11 @@ def test_hadamard_dense_coefficients_are_fixed_count_products():
     # the product of a type's condensed columns is fix_2·fix_3/z
     for ctype in cycle_types_up_to(6):
         product = Q(1)
-        for k, m in ctype.pairs:
+        for k, m in ctype:
             product *= _condensed_column(k, m, False)[m]
         u2 = count_commuting_order_p(2, ctype)
         u3 = count_commuting_order_p(3, ctype)
-        assert product == Q(u2 * u3, ctype.centralizer_order())
+        assert product == Q(u2 * u3, centralizer_order(ctype))
 
 
 def test_hadamard_factored_table_entries():

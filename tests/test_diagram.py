@@ -94,9 +94,10 @@ def test_immutability():
 
 
 def test_connectivity_examples():
-    assert INDEX2.is_connected()
-    assert not Diagram([0, 1], [0, 1]).is_connected()
-    assert NORMAL6_A.is_connected()
+    # a Diagram is connected by construction
+    assert (INDEX2.n, NORMAL6_A.n) == (2, 6)
+    with pytest.raises(ValueError, match="^diagram is not connected$"):
+        Diagram([0, 1], [0, 1])
 
 
 def test_pointed_requires_connected():

@@ -1,9 +1,9 @@
-"""Every public name is used by the package itself.
+"""Every public name and every top-level definition is used by the package.
 
-A name in `trivalent.__all__` that no module refers to outside its own
-definition serves no verb and no oracle; it should be deleted rather than
-exported.  Imports do not count as uses, and neither does `__init__.py`,
-which only re-exports.
+A name in `trivalent.__all__`, or a top-level function or class of any
+module, that no module refers to outside its own definition serves no verb
+and no oracle; it should be deleted rather than kept.  Imports do not count
+as uses, and neither does `__init__.py`, which only re-exports.
 """
 
 import ast
@@ -34,10 +34,33 @@ def _uses_outside_own_definition(tree):
     return uses
 
 
-def test_every_export_is_used_inside_the_package():
-    uses = set()
+def _modules():
+    """(module name, parsed tree) for every module but `__init__.py`."""
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py") and name != "__init__.py":
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
-                uses |= _uses_outside_own_definition(ast.parse(handle.read(), name))
+                yield name[:-3], ast.parse(handle.read(), name)
+
+
+def _package_uses():
+    uses = set()
+    for _, tree in _modules():
+        uses |= _uses_outside_own_definition(tree)
+    return uses
+
+
+def test_every_export_is_used_inside_the_package():
+    uses = _package_uses()
     assert [name for name in trivalent.__all__ if name not in uses] == []
+
+
+def test_every_top_level_definition_is_used_inside_the_package():
+    uses = _package_uses()
+    unused = [
+        "%s.%s" % (module, node.name)
+        for module, tree in _modules()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in uses
+    ]
+    assert unused == []
