@@ -2,9 +2,11 @@
 
 Re-derives small and large values through independent routes and compares
 them: brute-force enumeration against formulas, dense against separable
-pipelines, recurrence against closed form, and everything against the frozen
-reference sequences.  `quick` stays at truncation order 20 and census size 8;
-`full` pushes to order 50, census size 9, and the index-500 values.
+pipelines, the modular counts against their `Fraction` routes, recurrence
+against closed form, and everything against the frozen reference sequences.
+`quick` stays at truncation order 20 (60 for modular against `Fraction`) and
+census size 8; `full` pushes to order 50, census size 9, the index-500
+values and modular against `Fraction` at order 500.
 
 Each check is a public function taking its sizes (and, when randomized, the
 `random.Random` to draw from), so the test suite runs these same oracles with
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 from . import census, counting, diagram, reference
 from .cycleindex import count_commuting_order_p, cycle_types, cycle_types_up_to
-from .series import (TruncSeries, euler_transform, inverse_euler_transform, moebius_mu,
-                     moebius_sieve)
+from .series import (TruncSeries, _power_sum, euler_transform, inverse_euler_transform,
+                     moebius_mu, moebius_sieve)
 
 
 class SelfTestFailure(Exception):
@@ -74,6 +76,33 @@ def check_dense_vs_fast(order, general=False):
     if dense != fast:
         _fail("dense-vs-fast", "pipelines disagree at order %d%s"
               % (order, " (general)" if general else ""))
+
+
+def fraction_class_series(order, general=False):
+    """The class series on `Fraction`s: `TruncSeries.log` of each condensed
+    column, spread to t^{kj}, then the Moebius power sum.  The oracle of the
+    modular `counting.conjugacy_class_series`, sharing none of its arithmetic."""
+    lg = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
+        m_max = order // k
+        col_log = TruncSeries(m_max, counting._condensed_column(k, m_max, general)).log()
+        for j in range(1, m_max + 1):
+            lg[k * j] += col_log[j]
+    return TruncSeries(order, _power_sum(lg, moebius_sieve(order)))
+
+
+def check_modular_vs_fraction(order):
+    """Both series, both flavors, against their `Fraction` routes: the
+    subgroups against t·d/dt of `counting.connected_egf`, the classes against
+    `fraction_class_series`."""
+    for general in (False, True):
+        flavor = " (general)" if general else ""
+        if counting.subgroup_series(order, general) != \
+                counting.connected_egf(order, general).euler_operator():
+            _fail("modular-vs-fraction", "subgroups differ at order %d%s" % (order, flavor))
+        if counting.conjugacy_class_series(order, general) != \
+                fraction_class_series(order, general):
+            _fail("modular-vs-fraction", "classes differ at order %d%s" % (order, flavor))
 
 
 def check_column_normalisation(max_weight):
@@ -428,6 +457,7 @@ def run_selftest(full: bool, report=print) -> bool:
         ("dense-vs-fast-order-20", lambda: check_dense_vs_fast(20)),
         ("dense-vs-fast-general-order-12", lambda: check_dense_vs_fast(12, general=True)),
         ("column-normalisation-weight-8", lambda: check_column_normalisation(8)),
+        ("modular-vs-fraction-order-60", lambda: check_modular_vs_fraction(60)),
         ("reference-order-20", lambda: check_reference(20)),
         ("census-to-size-8", lambda: check_census(8)),
         ("census-vs-brute", lambda: check_census_vs_brute(6, 5)),
@@ -447,6 +477,7 @@ def run_selftest(full: bool, report=print) -> bool:
             ("integrality-order-40", lambda: check_integrality(40)),
             ("recurrence-order-500", lambda: check_recurrence(500)),
             ("weight-500", lambda: check_index_500(report)),
+            ("modular-vs-fraction-500", lambda: check_modular_vs_fraction(500)),
         ]
     for name, check in checks:
         start = time.perf_counter()

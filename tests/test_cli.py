@@ -95,6 +95,30 @@ def test_internal_value_error_exits_4(monkeypatch, capsys):
     assert err.startswith("error: internal: ")
 
 
+@pytest.mark.parametrize("kind", ["pointed", "classes"])
+def test_wrong_residue_exits_4_without_output_or_cache(tmp_path, monkeypatch, capsys, kind):
+    # a corrupted column entry puts residues above their bounds, which the
+    # lift must refuse before anything is printed or cached
+    from trivalent import counting
+
+    residue_column = counting._residue_column
+
+    def corrupted(k, n_max, general, modulus, inverses):
+        column = residue_column(k, n_max, general, modulus, inverses)
+        if n_max >= 2:
+            column[2] = (column[2] + 1) % modulus
+        return column
+
+    monkeypatch.setattr(counting, "_residue_column", corrupted)
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+    code, out, err = run(capsys, "count", kind, "--max", "40")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: internal: ")
+    assert not cache_dir.exists()
+
+
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 def test_coefficients_past_4300_digits(tmp_path, monkeypatch, capsys, cached):
     # the index-7400 coefficients pass Python's default int/str digit limit;

@@ -19,7 +19,9 @@ from trivalent.reference import (
     CONJUGACY_CLASSES_BY_INDEX,
     SUBGROUPS_BY_INDEX,
 )
-from trivalent.selftest import check_column_normalisation, check_integrality
+from trivalent import counting
+from trivalent.selftest import (check_column_normalisation, check_integrality,
+                                check_modular_vs_fraction)
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -164,6 +166,49 @@ def test_general_pointed_matches_census():
 def test_general_dense_route_agrees():
     assert conjugacy_class_series_dense(12, general=True) == \
         conjugacy_class_series(12, general=True)
+
+
+# --- the modular kernel ----------------------------------------------------------
+
+
+def test_modular_kernel_equals_fraction_oracles_to_60():
+    # each order picks its own prime and exponent, down to P = 2 at order 1
+    for order in range(1, 61):
+        check_modular_vs_fraction(order)
+
+
+def test_modulus_is_the_least_power_of_the_least_prime_above_the_order():
+    for order, prime in ((0, 2), (1, 2), (2, 3), (4, 5), (7, 11), (500, 503)):
+        bound = counting._bounds(order, general=False)[-1] + 1
+        modulus = counting._modulus(order, bound)
+        assert modulus > bound << 64
+        assert modulus % prime == 0 and modulus // prime <= bound << 64
+        while modulus % prime == 0:
+            modulus //= prime
+        assert modulus == 1
+
+
+def test_bounds_are_labeled_pairs_over_factorials():
+    # h_n/(n-1)! with h_n = I_2(n)·I_3(n): 1, 2, 4·3/2, 10·9/6, 26·21/24
+    assert counting._bounds(5, general=False) == [0, 1, 2, 6, 15, 22]
+    assert counting._bounds(5, general=True) == [0, 1, 4, 12, 40, 130]
+    for general in (False, True):
+        counts = (subgroup_series(40, general).integer_coefficients(),
+                  conjugacy_class_series(40, general).integer_coefficients())
+        bounds = counting._bounds(40, general)
+        assert all(c <= b for series in counts for c, b in zip(series, bounds))
+
+
+def test_lift_rejects_a_residue_above_its_bound():
+    # the residues are of n·c_n: 1·1 and 2·4 lift to 1 and 4
+    assert counting._lift([0, 1, 8], [0, 1, 4]) == TruncSeries(2, [0, 1, 4])
+    with pytest.raises(ValueError, match=r"t\^2: the residue is not 2 times a count within its bound"):
+        counting._lift([0, 1, 10], [0, 1, 4])
+
+
+def test_lift_rejects_a_residue_that_is_no_multiple():
+    with pytest.raises(ValueError, match=r"t\^3: the residue is not 3 times"):
+        counting._lift([0, 1, 2, 7], [0, 1, 2, 6])
 
 
 # --- cross-cutting properties --------------------------------------------------------
