@@ -81,7 +81,8 @@ def check_dense_vs_fast(order, general=False):
 def fraction_class_series(order, general=False):
     """The class series on `Fraction`s: `TruncSeries.log` of each condensed
     column, spread to t^{kj}, then the Moebius power sum.  The oracle of the
-    modular `counting.conjugacy_class_series`, sharing none of its arithmetic."""
+    modular `counting.conjugacy_class_series`: the two share only the
+    integer fixed-point counts of `cycleindex`."""
     lg = [Fraction(0)] * (order + 1)
     for k in range(1, order + 1):
         m_max = order // k
