@@ -1,9 +1,9 @@
 """Exhaustive census of connected diagrams at small size.
 
 This is the ground-truth oracle for the generating series: it constructs
-every pointed isomorphism class explicitly and deduplicates unpointed
-classes by canonical code, with no counting shortcuts, so its output is
-independent of the cycle-index machinery it validates.
+every pointed isomorphism class explicitly and keeps one representative
+per unpointed class by canonical augmentation, with no counting shortcuts,
+so its output is independent of the cycle-index machinery it validates.
 
 The enumerator builds each pointed class exactly once by generating only
 *canonically labeled* structures: arcs are labeled in breadth-first
@@ -25,13 +25,23 @@ cycle lengths at 1 or 3: it never closes a chain of length 2 and never joins
 chains of more than 3 arcs in total (a fresh arc is a chain of length 1).
 `selftest` validates the enumerator at tiny sizes against a brute-force
 count of all transitive permutation pairs.
+
+Unpointed classes come by canonical augmentation (B. D. McKay, J.
+Algorithms 26 (1998)): a structure labeled from base 0 is kept exactly when
+it is the canonical form of its diagram, i.e. when no other base relabels
+it to a smaller pair.  One seeded canonical search decides that, usually at
+the first few bases, so each class is kept exactly once with no dictionary
+of codes.  `selftest` rebuilds the representatives by canonical code as the
+oracle of this rule.
 """
 
 from __future__ import annotations
 
 import math
 
-from .diagram import Diagram, canonical_code, canonical_representative, is_normal
+from .diagram import Diagram, _canonical_form, _encode, is_normal
+# unused here, but `perfbench/spans.py` wraps them by name in this module
+from .diagram import canonical_code, canonical_representative  # noqa: F401
 
 #: Size caps for the census (resource guard, not a hard algorithmic limit).
 CENSUS_CAP_TRIVALENT = 14
@@ -115,28 +125,29 @@ def pointed_structures(n: int, trivalent: bool = True):
 def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """Construct all connected diagrams of size n.
 
-    Counts pointed classes exactly, deduplicates unpointed classes by
-    canonical code, and keeps one canonical representative per class
-    (sorted by code).  Raises for sizes beyond the cap.
+    Counts pointed classes exactly and keeps a structure as the
+    representative of its unpointed class exactly when no base arc relabels
+    it to a smaller pair (canonical augmentation: one seeded canonical
+    search per structure).  The representatives are sorted by canonical
+    code.  Raises for sizes beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
         raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
     pointed = 0
-    by_code = {}
+    reps = []
     for rot, inv in pointed_structures(n, trivalent):
         pointed += 1
-        d = Diagram(rot, inv)
-        code = canonical_code(d)
-        if code not in by_code:
-            by_code[code] = canonical_representative(d)
-    reps = tuple(by_code[c] for c in sorted(by_code))
+        if _canonical_form(rot, inv, seeded=True) is not None:
+            reps.append(Diagram(rot, inv))
+    # a kept structure is its own canonical form, so this is its code
+    reps.sort(key=lambda d: _encode(n, d.rot, d.inv))
     return CensusReport(
         size=n,
         labelled_connected=pointed * math.factorial(n - 1),
         pointed_classes=pointed,
         unpointed_classes=len(reps),
-        class_representatives=reps,
+        class_representatives=tuple(reps),
     )
 
 

@@ -119,25 +119,34 @@ def subgroup_series(order: int, general: bool = False) -> TruncSeries:
     because pointed connected diagrams have no automorphisms, so the counts
     are t·d/dt log of the k = 1 column, taken modulo one prime power.
     """
-    bounds = _bounds(order, general)
+    first = _fixed_points(1, order, general)
+    bounds = _bounds(first)
     modulus = _modulus(order, max(bounds))
     inverses = None if general else _inverses(order, modulus)
-    b = _log_derivative(_residue_column(1, order, general, modulus, inverses), modulus)
+    b = _log_derivative(_residue_column(1, first, modulus, inverses), modulus)
     return _lift([n * v % modulus for n, v in enumerate(b)], bounds)
 
 
-def _bounds(order: int, general: bool) -> list:
-    """b_n = h_n // (n-1)! for n = 0..order, where h_n = I_2(n)·I_3(n) counts
-    the labeled pairs (general flavor: I_2(n)·n!, so b_n = n·I_2(n)).  The
-    connected pairs among them number (n-1)! times the index-n subgroups,
-    and there are no more classes than subgroups, so b_n bounds both counts."""
-    involutions = commuting_order_p_counts(2, 1, order)
-    if general:
+def _fixed_points(k: int, n_max: int, general: bool) -> tuple:
+    """The exact counts (E_2(k,n), E_3(k,n)) for n = 0..n_max, with None for
+    E_3 in the general flavor.  The series compute the k = 1 pair, I_2 and
+    I_3, once: it gives both the bounds and the first column."""
+    return (commuting_order_p_counts(2, k, n_max),
+            None if general else commuting_order_p_counts(3, k, n_max))
+
+
+def _bounds(first: tuple) -> list:
+    """b_n = h_n // (n-1)! for n = 0..order, from first = `_fixed_points(1,
+    order, general)`, where h_n = I_2(n)·I_3(n) counts the labeled pairs
+    (general flavor: I_2(n)·n!, so b_n = n·I_2(n)).  The connected pairs
+    among them number (n-1)! times the index-n subgroups, and there are no
+    more classes than subgroups, so b_n bounds both counts."""
+    involutions, cubes = first
+    if cubes is None:
         return [n * v for n, v in enumerate(involutions)]
-    cubes = commuting_order_p_counts(3, 1, order)
-    bounds = [0] * (order + 1)
+    bounds = [0] * len(cubes)
     factorial = 1  # (n-1)!
-    for n in range(1, order + 1):
+    for n in range(1, len(cubes)):
         bounds[n] = involutions[n] * cubes[n] // factorial
         factorial *= n
     return bounds
@@ -173,17 +182,16 @@ def _inverses(n: int, modulus: int) -> list:
     return table
 
 
-def _residue_column(k: int, n_max: int, general: bool, modulus: int, inverses) -> list:
-    """The condensed column k of `_condensed_column` modulo `modulus`:
-    E_2(k,n)·E_3(k,n)/(k^n·n!), or E_2(k,n) in the general flavor, which
-    needs no inverses."""
-    e2 = commuting_order_p_counts(2, k, n_max)
-    if general:
+def _residue_column(k: int, fixed: tuple, modulus: int, inverses) -> list:
+    """The condensed column k of `_condensed_column` modulo `modulus`, from
+    fixed = `_fixed_points(k, n_max, general)`: E_2(k,n)·E_3(k,n)/(k^n·n!),
+    or E_2(k,n) in the general flavor, which needs no inverses."""
+    e2, e3 = fixed
+    if e3 is None:
         return [v % modulus for v in e2]
-    e3 = commuting_order_p_counts(3, k, n_max)
-    column = [1] * (n_max + 1)
+    column = [1] * len(e3)
     scale = 1  # 1/(k^n·n!)
-    for n in range(1, n_max + 1):
+    for n in range(1, len(e3)):
         scale = scale * inverses[k] % modulus * inverses[n] % modulus
         column[n] = e2[n] * e3[n] % modulus * scale % modulus
     return column
@@ -260,15 +268,15 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
     truncated series never materializes partition-many terms.  Everything
     runs modulo the prime power of `_modulus` and is lifted once.
     """
-    bounds = _bounds(order, general)
+    first = _fixed_points(1, order, general)
+    bounds = _bounds(first)
     modulus = _modulus(order, max(bounds))
     inverses = None if general else _inverses(order, modulus)
     # lg = t·d/dt of the log of the product: column k puts k·B_j at t^{kj}
     lg = [0] * (order + 1)
     for k in range(1, order + 1):
-        b = _log_derivative(
-            _residue_column(k, order // k, general, modulus, inverses), modulus
-        )
+        fixed = first if k == 1 else _fixed_points(k, order // k, general)
+        b = _log_derivative(_residue_column(k, fixed, modulus, inverses), modulus)
         for j in range(1, len(b)):
             lg[k * j] = (lg[k * j] + k * b[j]) % modulus
     # lg[n] = sum_{d | n} d·c_d, so n·c_n = sum_{r | n} mu(r)·lg[n/r]

@@ -28,7 +28,10 @@ comparing the whole rot array before the inv array.  That order is
 normative for the text format: codes are comparable across implementations
 only if the order matches.  The search prunes a base at the first rot entry
 above the best so far, and a full tie with the best base is an automorphism
-whose orbits it skips, so it is near-linear on rigid diagrams.
+whose orbits it skips, so it is near-linear on rigid diagrams.  Seeded
+with a pair labeled from arc 0, the same search tells whether that pair is
+its own canonical form, which is how the census keeps one structure per
+class.
 
 Automorphisms are pointed maps (d, 0) -> (d, a), and Aut acts freely on the
 arcs, so |Aut| is the size of any Aut-orbit.  The bases that tie with the
@@ -351,9 +354,9 @@ def _merge_orbits(parent: list, perm) -> None:
             parent[rx] = ry
 
 
-def _canonical_form(d: Diagram) -> tuple:
-    """The (rot, inv) pair of the least relabeling over all base arcs, and
-    |Aut(d)|.
+def _canonical_form(rot, inv, seeded: bool = False) -> Optional[tuple]:
+    """The (rot, inv) pair of the least relabeling over all base arcs of the
+    diagram with these permutations, and its |Aut|.
 
     Each base is labeled breadth-first with generators [rot, rot^-1, inv];
     entry i of its relabeled rot array, label[rot[order[i]]], is known as
@@ -364,16 +367,24 @@ def _canonical_form(d: Diagram) -> tuple:
     a base whose orbit already holds a smaller (hence examined) arc is
     skipped, since it yields the same arrays.  |Aut| is the size of the best
     base's class, or 1 when no automorphism was found.
+
+    `seeded` asks whether the pair is already labeled canonically: it must
+    be labeled breadth-first from arc 0, so base 0 reproduces it, and it
+    seeds the best pair so far.  The search then returns None at the first
+    base that relabels it to a smaller pair, and otherwise the pair itself
+    and |Aut|.
     """
-    n = d.n
-    rot, inv = d.rot, d.inv
+    n = len(rot)
     rot_inv = [0] * n
     for a, b in enumerate(rot):
         rot_inv[b] = a
     label = [-1] * n
     parent = None  # union-find of the automorphism orbits, once one is found
-    best_rot = best_inv = best_order = None
-    for base in range(n):
+    if seeded:
+        best_rot, best_inv, best_order = rot, list(inv), range(n)
+    else:
+        best_rot = best_inv = best_order = None
+    for base in range(1 if seeded else 0, n):
         if parent is not None and _find(parent, base) != base:
             continue
         label[base] = 0
@@ -390,6 +401,8 @@ def _canonical_form(d: Diagram) -> tuple:
             if tied and r != best_rot[i]:
                 if r > best_rot[i]:
                     break
+                if seeded:
+                    return None
                 tied = False
             new_rot.append(r)
             y = rot_inv[x]
@@ -403,6 +416,8 @@ def _canonical_form(d: Diagram) -> tuple:
         else:  # no entry exceeded the best: a full pass
             new_inv = [label[inv[x]] for x in order]
             if not tied or new_inv < best_inv:
+                if seeded:
+                    return None
                 best_rot, best_inv, best_order = new_rot, new_inv, order
             elif new_inv == best_inv:
                 automorphism = [0] * n
@@ -438,13 +453,13 @@ def canonical_code(d: Diagram) -> bytes:
     automorphism outside the group found so far (at most log2 |Aut| of
     them), and bases in the orbit of an examined base are skipped.
     """
-    rot, inv, _ = _canonical_form(d)
+    rot, inv, _ = _canonical_form(d.rot, d.inv)
     return _encode(d.n, rot, inv)
 
 
 def canonical_representative(d: Diagram) -> Diagram:
     """The canonically relabeled isomorphic copy of `d` (same code)."""
-    rot, inv, _ = _canonical_form(d)
+    rot, inv, _ = _canonical_form(d.rot, d.inv)
     return Diagram(rot, inv)
 
 
@@ -468,7 +483,7 @@ def automorphism_order(d: Diagram) -> int:
     |Aut| is the size of the Aut-orbit of the best base; the bases that tie
     with it are that orbit, and `_canonical_form` gathers each into the
     best base's union-find class, merged or skipped."""
-    return _canonical_form(d)[2]
+    return _canonical_form(d.rot, d.inv)[2]
 
 
 def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:

@@ -1,9 +1,11 @@
 """Built-in verification suite: the one registry of oracle checks.
 
 Re-derives small and large values through independent routes and compares
-them: brute-force enumeration against formulas, dense against separable
-pipelines, the modular counts against their `Fraction` routes, recurrence
-against closed form, and everything against the frozen reference sequences.
+them: brute-force enumeration against formulas, the census's canonical
+augmentation against a dictionary of canonical codes, dense against
+separable pipelines, the modular counts against their `Fraction` routes,
+recurrence against closed form, and everything against the frozen reference
+sequences.
 `quick` stays at truncation order 20 (60 for modular against `Fraction`) and
 census size 8; `full` pushes to order 50, census size 9, the index-500
 values and modular against `Fraction` at order 500.
@@ -176,6 +178,26 @@ def check_census_vs_brute(max_trivalent, max_general):
             if labelled != brute:
                 _fail("census-vs-brute", "%s size %d: census %d, brute force %d"
                       % ("trivalent" if trivalent else "general", n, labelled, brute))
+
+
+def check_census_vs_codes(max_trivalent, max_general):
+    """The census's representatives, kept by canonical augmentation, against
+    the dedup that augmentation replaces: a `canonical_code` dict over every
+    pointed structure, one `canonical_representative` per class, sorted by
+    code; for trivalent sizes up to max_trivalent and general sizes up to
+    max_general."""
+    for trivalent, max_size in ((True, max_trivalent), (False, max_general)):
+        for n in range(1, max_size + 1):
+            by_code = {}
+            for rot, inv in census.pointed_structures(n, trivalent):
+                d = diagram.Diagram(rot, inv)
+                code = diagram.canonical_code(d)
+                if code not in by_code:
+                    by_code[code] = diagram.canonical_representative(d)
+            expected = tuple(by_code[code] for code in sorted(by_code))
+            if census.enumerate_size(n, trivalent).class_representatives != expected:
+                _fail("census-vs-codes", "%s size %d: representatives differ"
+                      % ("trivalent" if trivalent else "general", n))
 
 
 def check_normal_structure():
@@ -462,6 +484,7 @@ def run_selftest(full: bool, report=print) -> bool:
         ("reference-order-20", lambda: check_reference(20)),
         ("census-to-size-8", lambda: check_census(8)),
         ("census-vs-brute", lambda: check_census_vs_brute(6, 5)),
+        ("census-vs-codes", lambda: check_census_vs_codes(12, 7)),
         ("normal-structure", check_normal_structure),
         ("commuting-counts-weight-5", lambda: check_commuting_counts(5)),
         ("canonical-codes", lambda: check_canonical_codes(random.Random(1729), (5, 6, 7), 5)),

@@ -1,5 +1,6 @@
 """Tests for the brute-force census."""
 
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from trivalent.census import (
 )
 from trivalent.diagram import (
     Diagram,
+    _canonical_form,
+    _encode,
     automorphism_order,
     automorphisms,
     canonical_code,
@@ -89,6 +92,19 @@ def test_structures_are_canonically_labeled_and_distinct(trivalent):
             assert canonical_representative(d) == Diagram(*brute_canonical_form(d))
 
 
+@pytest.mark.parametrize("trivalent, max_size", [(True, 10), (False, 6)],
+                         ids=["trivalent", "general"])
+def test_seeded_search_keeps_exactly_the_canonical_structures(trivalent, max_size):
+    # the augmentation rule against the canonical code, structure by structure
+    for n in range(1, max_size + 1):
+        for rot, inv in pointed_structures(n, trivalent):
+            d = Diagram(rot, inv)
+            kept = _canonical_form(rot, inv, seeded=True)
+            assert (kept is not None) == (canonical_code(d) == _encode(n, rot, inv))
+            if kept is not None:
+                assert kept == (rot, inv, len(automorphisms(d)))
+
+
 def test_representatives_properties():
     for n in range(1, 8):
         report = enumerate_size(n)
@@ -106,6 +122,17 @@ def test_representatives_sorted_by_code():
     reps = enumerate_size(6).class_representatives
     codes = [canonical_code(d) for d in reps]
     assert codes == sorted(codes)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (8, "b94d6d1bbb683472023add6fcf1ddc7fc9279e707d2444660d4137bec7ebf2e8"),
+    (9, "a622acd8820aaa5514edf8c035865b645f620e2290a9aa4b108b6719dfbfac43"),
+])
+def test_general_flavor_listing_is_pinned(n, digest):
+    # the representatives and their order, as `to_text` lines
+    reps = enumerate_size(n, trivalent=False).class_representatives
+    text = "\n".join(d.to_text() for d in reps)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 def test_general_flavor_representative_properties():

@@ -103,9 +103,9 @@ def test_wrong_residue_exits_4_without_output_or_cache(tmp_path, monkeypatch, ca
 
     residue_column = counting._residue_column
 
-    def corrupted(k, n_max, general, modulus, inverses):
-        column = residue_column(k, n_max, general, modulus, inverses)
-        if n_max >= 2:
+    def corrupted(k, fixed, modulus, inverses):
+        column = residue_column(k, fixed, modulus, inverses)
+        if len(column) > 2:
             column[2] = (column[2] + 1) % modulus
         return column
 
@@ -300,10 +300,10 @@ def test_census_internal_value_error_exits_4(monkeypatch, capsys):
     # only the size checks are input errors; a fault inside the census is not
     from trivalent import census
 
-    def canonical_code(d):
+    def canonical_form(rot, inv, seeded=False):
         raise ValueError("simulated internal fault")
 
-    monkeypatch.setattr(census, "canonical_code", canonical_code)
+    monkeypatch.setattr(census, "_canonical_form", canonical_form)
     code, out, err = run(capsys, "census", "--size", "3")
     assert code == cli.EXIT_INTERNAL
     assert out == ""
