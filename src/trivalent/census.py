@@ -10,8 +10,9 @@ The enumerator builds each pointed class exactly once by generating only
 discovery order from the base arc 0 with generators applied in the fixed
 order [rot, rot^-1, inv], and the search assigns a fresh label exactly when
 the traversal would discover a new arc.  Pointed connected diagrams are
-rigid, so canonical labelings biject with pointed classes and no
-deduplication is needed.
+rigid, so canonical labelings biject with pointed classes:
+`pointed_structures` walks this tree unpruned and yields one structure per
+pointed class, the oracle stream for `selftest` and the tests.
 
 Expanding arc a runs three stages, rot, rot^-1 and inv, each a pair of
 arrays (fwd, bwd) inverse to each other: (rot, pre), (pre, rot) and
@@ -29,19 +30,32 @@ count of all transitive permutation pairs.
 Unpointed classes come by canonical augmentation (B. D. McKay, J.
 Algorithms 26 (1998)): a structure labeled from base 0 is kept exactly when
 it is the canonical form of its diagram, i.e. when no other base relabels
-it to a smaller pair.  One seeded canonical search decides that, usually at
-the first few bases, so each class is kept exactly once with no dictionary
-of codes.  `selftest` rebuilds the representatives by canonical code as the
-oracle of this rule.
+it to a smaller pair.  `enumerate_size` walks the same tree and prunes it
+in the manner of orderly generation (R. C. Read, Ann. Discrete Math. 2
+(1978)).  Each time an arc is fully expanded, every base b >= 1 still tied
+is relabeled breadth-first as far as the set entries reach, and its rot
+array is compared entry by entry with the structure's own.  Set entries
+never change below a node, so both prefixes are those of every completion:
+a smaller entry of b makes every completion non-canonical and cuts the
+branch, a larger one settles b for the whole subtree, and only the bases
+still tied go down.  At a leaf one seeded canonical search decides, usually
+at the first few bases, and gives |Aut|; `selftest` rebuilds the
+representatives by canonical code as the oracle of this rule.
+
+Aut acts freely on the arcs, so a class holds n/|Aut| pointed classes: the
+pointed count is the sum of n/|Aut| over the representatives, and by
+rigidity there are (n-1)! labeled structures per pointed class.  A class is
+normal exactly when Aut is arc-transitive, i.e. when |Aut| = n.
 """
 
 from __future__ import annotations
 
 import math
 
-from .diagram import Diagram, _canonical_form, _encode, is_normal
+from .diagram import _canonical_form, _encode, _trusted_diagram
 # unused here, but `perfbench/spans.py` wraps them by name in this module
-from .diagram import canonical_code, canonical_representative  # noqa: F401
+from .diagram import (Diagram, canonical_code, canonical_representative,  # noqa: F401
+                      is_normal)
 
 #: Size caps for the census (resource guard, not a hard algorithmic limit).
 CENSUS_CAP_TRIVALENT = 14
@@ -56,28 +70,105 @@ class CensusReport:
     """Counts and representatives for one size.
 
     `labelled_connected` is the number of connected labeled structures; by
-    rigidity it equals pointed_classes * (size-1)!.  A report is not a
-    tuple: `perfbench/run.py` reads any tuple result as a CLI
+    rigidity it equals pointed_classes * (size-1)!.  `automorphism_orders`
+    holds |Aut| of each representative, in the same order.  A report is not
+    a tuple: `perfbench/run.py` reads any tuple result as a CLI
     (exit code, stdout) pair.
     """
 
     __slots__ = ("size", "labelled_connected", "pointed_classes",
-                 "unpointed_classes", "class_representatives")
+                 "unpointed_classes", "class_representatives", "automorphism_orders")
 
     def __init__(self, size: int, labelled_connected: int, pointed_classes: int,
-                 unpointed_classes: int, class_representatives: tuple = ()):
+                 unpointed_classes: int, class_representatives: tuple = (),
+                 automorphism_orders: tuple = ()):
         values = (size, labelled_connected, pointed_classes, unpointed_classes,
-                  class_representatives)
+                  class_representatives, automorphism_orders)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CensusReport is immutable")
 
+    def normal_representatives(self) -> list:
+        """The representatives whose automorphism group is arc-transitive
+        (|Aut| = size): the normal subgroups of the classified group."""
+        return [d for d, aut in zip(self.class_representatives, self.automorphism_orders)
+                if aut == self.size]
 
-def pointed_structures(n: int, trivalent: bool = True):
-    """Yield (rot, inv) image tuples, one per pointed isomorphism class of
-    connected diagrams on n arcs, each in canonical labeling."""
+
+def _still_tied(rot, pre, inv, tied):
+    """The bases of `tied` that still relabel the partial structure to its
+    own prefix, or None when one of them relabels it to a smaller one.
+
+    Each base is labeled breadth-first with [rot, rot^-1, inv] as in the
+    seeded canonical search, up to the first unset entry it needs; entry i
+    of its rot array is compared with the structure's own rot[i] while that
+    is set.  A smaller entry cuts the branch, a larger one settles the base
+    for the whole subtree (it is dropped), and a base that reaches an unset
+    entry stays tied.  An entry of `tied` is the state where its search
+    stopped: the unset entry array[index], the position i, the order and
+    the labels.  Set entries never change below a node, so the search
+    resumes at position i (its labeling steps are idempotent) once that
+    entry is set, on copies: the sibling branches share the old state.
+    """
+    kept = []
+    for entry in tied:
+        blocker, index, i, order, label = entry
+        if blocker[index] < 0:
+            kept.append(entry)
+            continue
+        order = order[:]
+        label = label[:]
+        append = order.append
+        size = len(order)
+        sign = 0
+        while i < size:
+            x = order[i]
+            y = rot[x]
+            if y < 0:
+                blocker, index = rot, x
+                break
+            r = label[y]
+            if r < 0:
+                r = label[y] = size
+                append(y)
+                size += 1
+            own = rot[i]
+            if r != own:
+                if own >= 0:
+                    sign = r - own
+                blocker, index = rot, i
+                break
+            y = pre[x]
+            if y < 0:
+                blocker, index = pre, x
+                break
+            if label[y] < 0:
+                label[y] = size
+                append(y)
+                size += 1
+            y = inv[x]
+            if y < 0:
+                blocker, index = inv, x
+                break
+            if label[y] < 0:
+                label[y] = size
+                append(y)
+                size += 1
+            i += 1
+        if sign < 0:
+            return None
+        if sign == 0:
+            kept.append((blocker, index, i, order, label))
+    return kept
+
+
+def _walk(n: int, trivalent: bool, pruned: bool):
+    """The backtracking walk behind the census: yields (rot, inv) image
+    tuples in canonical labeling from arc 0.  Unpruned it yields one
+    structure per pointed class; pruned it cuts every branch that a base
+    b >= 1 already relabels to a smaller rot prefix."""
     if n < 1:
         raise CensusSizeError("size must be >= 1, got %d" % n)
     rot = [-1] * n
@@ -85,17 +176,22 @@ def pointed_structures(n: int, trivalent: bool = True):
     inv = [-1] * n
     stages = ((rot, pre), (pre, rot), (inv, inv))
 
-    def join(a, stage, used):
-        if stage == 3:
-            a, stage = a + 1, 0
-            if a == used:             # every discovered arc is expanded
-                if used == n:
-                    yield tuple(rot), tuple(inv)
-                return
-        fwd, bwd = stages[stage]
-        if fwd[a] != -1:
-            yield from join(a, stage + 1, used)
-            return
+    def join(a, stage, used, tied):
+        while True:
+            if stage == 3:
+                a, stage = a + 1, 0
+                if a == used:         # every discovered arc is expanded
+                    if used == n:
+                        yield tuple(rot), tuple(inv)
+                    return
+                if tied is not None:
+                    tied = _still_tied(rot, pre, inv, tied)
+                    if tied is None:
+                        return
+            fwd, bwd = stages[stage]
+            if fwd[a] == -1:
+                break
+            stage += 1
         start, length = a, 1
         while bwd[start] != -1:
             start = bwd[start]
@@ -115,44 +211,58 @@ def pointed_structures(n: int, trivalent: bool = True):
                     continue
             fwd[a] = b
             bwd[b] = a
-            yield from join(a, stage + 1, used + (b == used))
+            yield from join(a, stage + 1, used + (b == used), tied)
             fwd[a] = -1
             bwd[b] = -1
 
-    yield from join(0, 0, 1)
+    tied = None
+    if pruned:
+        tied = []
+        for b in range(1, n):
+            label = [-1] * n
+            label[b] = 0
+            tied.append((rot, b, 0, [b], label))
+    yield from join(0, 0, 1, tied)
+
+
+def pointed_structures(n: int, trivalent: bool = True):
+    """Yield (rot, inv) image tuples, one per pointed isomorphism class of
+    connected diagrams on n arcs, each in canonical labeling."""
+    return _walk(n, trivalent, pruned=False)
 
 
 def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """Construct all connected diagrams of size n.
 
-    Counts pointed classes exactly and keeps a structure as the
-    representative of its unpointed class exactly when no base arc relabels
-    it to a smaller pair (canonical augmentation: one seeded canonical
-    search per structure).  The representatives are sorted by canonical
-    code.  Raises for sizes beyond the cap.
+    Walks the pruned tree and keeps a structure as the representative of
+    its unpointed class exactly when no base arc relabels it to a smaller
+    pair (canonical augmentation: one seeded canonical search per leaf),
+    which also gives its |Aut|; pointed classes are counted as the sum of
+    n/|Aut|.  The representatives are sorted by canonical code.  Raises for
+    sizes below 1 or beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
         raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
-    pointed = 0
-    reps = []
-    for rot, inv in pointed_structures(n, trivalent):
-        pointed += 1
-        if _canonical_form(rot, inv, seeded=True) is not None:
-            reps.append(Diagram(rot, inv))
+    kept = []
+    for rot, inv in _walk(n, trivalent, pruned=True):
+        form = _canonical_form(rot, inv, seeded=True)
+        if form is not None:      # (rot, inv, |Aut|)
+            kept.append(form)
     # a kept structure is its own canonical form, so this is its code
-    reps.sort(key=lambda d: _encode(n, d.rot, d.inv))
+    kept.sort(key=lambda form: _encode(n, form[0], form[1]))
+    pointed = sum(n // aut for _, _, aut in kept)
     return CensusReport(
         size=n,
         labelled_connected=pointed * math.factorial(n - 1),
         pointed_classes=pointed,
-        unpointed_classes=len(reps),
-        class_representatives=tuple(reps),
+        unpointed_classes=len(kept),
+        class_representatives=tuple(_trusted_diagram(rot, inv) for rot, inv, _ in kept),
+        automorphism_orders=tuple(aut for _, _, aut in kept),
     )
 
 
 def enumerate_normal(n: int, trivalent: bool = True) -> list:
     """The unpointed representatives whose automorphism group is
     arc-transitive (normal subgroups of the classified group)."""
-    report = enumerate_size(n, trivalent)
-    return [d for d in report.class_representatives if is_normal(d)]
+    return enumerate_size(n, trivalent).normal_representatives()

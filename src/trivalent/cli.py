@@ -30,12 +30,13 @@ from .diagram import (
     automorphism_order,
     barycentric_graph,
     canonical_code,
-    is_normal,
     normality_conflict,
     parse_diagram_text,
     pointed_morphism,
     pointed_morphism_conflict,
 )
+# unused here, but `perfbench/spans.py` wraps it by name in this module
+from .diagram import is_normal  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,7 +180,7 @@ def _cmd_census(args) -> int:
         report = census_mod.enumerate_size(args.size)
     except census_mod.CensusSizeError as exc:
         raise InputError(str(exc)) from None
-    normal_reps = [d for d in report.class_representatives if is_normal(d)]
+    normal_reps = report.normal_representatives()
     payload = {
         "size": report.size,
         "unpointed": report.unpointed_classes,

@@ -141,6 +141,17 @@ class Diagram:
         return "Diagram(rot=%r, inv=%r)" % (list(self.rot), list(self.inv))
 
 
+def _trusted_diagram(rot: tuple, inv: tuple) -> Diagram:
+    """A `Diagram` on image tuples already known to be permutations, inv an
+    involution, acting transitively: equal to `Diagram(rot, inv)`, built
+    without re-checking them."""
+    d = object.__new__(Diagram)
+    object.__setattr__(d, "n", len(rot))
+    object.__setattr__(d, "rot", rot)
+    object.__setattr__(d, "inv", inv)
+    return d
+
+
 class PointedDiagram:
     """A diagram with a distinguished base arc."""
 

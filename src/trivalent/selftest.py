@@ -181,23 +181,31 @@ def check_census_vs_brute(max_trivalent, max_general):
 
 
 def check_census_vs_codes(max_trivalent, max_general):
-    """The census's representatives, kept by canonical augmentation, against
-    the dedup that augmentation replaces: a `canonical_code` dict over every
-    pointed structure, one `canonical_representative` per class, sorted by
-    code; for trivalent sizes up to max_trivalent and general sizes up to
+    """The census's representatives, kept by canonical augmentation on the
+    pruned walk, against the dedup that augmentation replaces: a
+    `canonical_code` dict over every pointed structure of the unpruned walk,
+    one `canonical_representative` per class, sorted by code; and its
+    orbit-stabilizer pointed count against the number of those structures;
+    for trivalent sizes up to max_trivalent and general sizes up to
     max_general."""
     for trivalent, max_size in ((True, max_trivalent), (False, max_general)):
+        flavor = "trivalent" if trivalent else "general"
         for n in range(1, max_size + 1):
             by_code = {}
+            pointed = 0
             for rot, inv in census.pointed_structures(n, trivalent):
+                pointed += 1
                 d = diagram.Diagram(rot, inv)
                 code = diagram.canonical_code(d)
                 if code not in by_code:
                     by_code[code] = diagram.canonical_representative(d)
             expected = tuple(by_code[code] for code in sorted(by_code))
-            if census.enumerate_size(n, trivalent).class_representatives != expected:
-                _fail("census-vs-codes", "%s size %d: representatives differ"
-                      % ("trivalent" if trivalent else "general", n))
+            report = census.enumerate_size(n, trivalent)
+            if report.class_representatives != expected:
+                _fail("census-vs-codes", "%s size %d: representatives differ" % (flavor, n))
+            if report.pointed_classes != pointed:
+                _fail("census-vs-codes", "%s size %d: %d pointed classes, %d pointed structures"
+                      % (flavor, n, report.pointed_classes, pointed))
 
 
 def check_normal_structure():

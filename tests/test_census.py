@@ -8,6 +8,7 @@ import pytest
 from trivalent.census import (
     CENSUS_CAP_GENERAL,
     CENSUS_CAP_TRIVALENT,
+    _walk,
     enumerate_normal,
     enumerate_size,
     pointed_structures,
@@ -33,6 +34,13 @@ from trivalent.selftest import (
 # pointed and unpointed class counts per size, from the exhaustive tables
 TRIVALENT_POINTED = [1, 1, 4, 8, 5, 22, 42, 40, 120]
 TRIVALENT_UNPOINTED = [1, 1, 2, 2, 1, 8, 6, 7, 14]
+
+# leaves the pruned walk reaches per size: fewer would mean a sharper rule,
+# more that a branch a smaller base already settles is no longer cut
+PRUNED_LEAVES = {
+    True: [1, 1, 4, 8, 2, 18, 21, 8, 65, 97, 46, 280],
+    False: [1, 3, 7, 22, 48, 126, 323, 1000],
+}
 
 
 def test_trivalent_counts_to_size_9():
@@ -105,6 +113,20 @@ def test_seeded_search_keeps_exactly_the_canonical_structures(trivalent, max_siz
                 assert kept == (rot, inv, len(automorphisms(d)))
 
 
+@pytest.mark.parametrize("trivalent", [True, False], ids=["trivalent", "general"])
+def test_pruned_walk_cuts_only_non_canonical_structures(trivalent):
+    for n, count in enumerate(PRUNED_LEAVES[trivalent], 1):
+        leaves = list(_walk(n, trivalent, pruned=True))
+        assert len(leaves) == count
+        stream = list(pointed_structures(n, trivalent))
+        kept = set(leaves)
+        # the same walk, in the same order, minus the cut branches
+        assert [s for s in stream if s in kept] == leaves
+        for rot, inv in stream:
+            if (rot, inv) not in kept:
+                assert canonical_code(Diagram(rot, inv)) != _encode(n, rot, inv)
+
+
 def test_representatives_properties():
     for n in range(1, 8):
         report = enumerate_size(n)
@@ -168,6 +190,31 @@ def test_pointings_per_class_sum_to_pointed_count():
         report = enumerate_size(n)
         total = sum(n // automorphism_order(d) for d in report.class_representatives)
         assert total == report.pointed_classes
+
+
+@pytest.mark.parametrize("trivalent, max_size", [(True, 12), (False, 8)],
+                         ids=["trivalent", "general"])
+def test_orbit_stabilizer_count_equals_the_unpruned_stream(trivalent, max_size):
+    # the pruned walk counts n/|Aut| pointed classes per representative;
+    # the unpruned walk yields every pointed class once
+    for n in range(1, max_size + 1):
+        stream = sum(1 for _ in pointed_structures(n, trivalent))
+        assert enumerate_size(n, trivalent).pointed_classes == stream
+
+
+@pytest.mark.parametrize("trivalent, max_size", [(True, 12), (False, 7)],
+                         ids=["trivalent", "general"])
+def test_automorphism_orders_and_normality_of_representatives(trivalent, max_size):
+    for n in range(1, max_size + 1):
+        report = enumerate_size(n, trivalent)
+        assert len(report.automorphism_orders) == report.unpointed_classes
+        normal = []
+        for d, aut in zip(report.class_representatives, report.automorphism_orders):
+            assert aut == len(automorphisms(d))
+            assert (aut == n) == is_normal(d)
+            if is_normal(d):
+                normal.append(d)
+        assert report.normal_representatives() == normal
 
 
 def test_normal_counts():

@@ -10,6 +10,7 @@ from trivalent.diagram import (
     Diagram,
     DiagramParseError,
     MorphismConflict,
+    _trusted_diagram,
     PointedDiagram,
     automorphism_order,
     automorphisms,
@@ -23,7 +24,7 @@ from trivalent.diagram import (
     pointed_morphism_conflict,
 )
 from trivalent import selftest
-from trivalent.census import enumerate_size
+from trivalent.census import enumerate_size, pointed_structures
 from trivalent.selftest import brute_isomorphic
 
 TERMINAL = Diagram([0], [0])                      # one arc: the whole group
@@ -88,6 +89,17 @@ def test_rejects_trivalence_violation():
 def test_immutability():
     with pytest.raises(AttributeError):
         TERMINAL.n = 5
+
+
+@pytest.mark.parametrize("trivalent, n", [(True, 8), (False, 6)], ids=["trivalent", "general"])
+def test_trusted_diagram_equals_the_validated_one(trivalent, n):
+    for rot, inv in pointed_structures(n, trivalent):
+        trusted, checked = _trusted_diagram(rot, inv), Diagram(rot, inv)
+        assert type(trusted) is Diagram
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert (trusted.n, trusted.rot, trusted.inv) == (checked.n, checked.rot, checked.inv)
+    with pytest.raises(AttributeError):
+        trusted.n = 5
 
 
 # --- connectivity ---------------------------------------------------------------
