@@ -38,9 +38,13 @@ array is compared entry by entry with the structure's own.  Set entries
 never change below a node, so both prefixes are those of every completion:
 a smaller entry of b makes every completion non-canonical and cuts the
 branch, a larger one settles b for the whole subtree, and only the bases
-still tied go down.  At a leaf one seeded canonical search decides, usually
-at the first few bases, and gives |Aut|; `selftest` rebuilds the
-representatives by canonical code as the oracle of this rule.
+still tied go down.  A base whose rot array ties in full, which needs
+every entry set, has its inv array compared the same way.  The same test
+decides at the leaf: the structure is kept exactly when no base is
+smaller, and then each base still tied relabels it to itself, i.e. is the
+image of arc 0 under an automorphism, so |Aut| is one more than their
+number.  `selftest` rebuilds the representatives by canonical code, and
+their |Aut| by canonical search, as the oracle of this rule.
 
 Aut acts freely on the arcs, so a class holds n/|Aut| pointed classes: the
 pointed count is the sum of n/|Aut| over the representatives, and by
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 import math
 
-from .diagram import _canonical_form, _encode, _trusted_diagram
+from .diagram import _encode, _trusted_diagram
 # unused here, but `perfbench/spans.py` wraps them by name in this module
 from .diagram import (Diagram, canonical_code, canonical_representative,  # noqa: F401
                       is_normal)
@@ -102,15 +106,17 @@ def _still_tied(rot, pre, inv, tied):
     own prefix, or None when one of them relabels it to a smaller one.
 
     Each base is labeled breadth-first with [rot, rot^-1, inv] as in the
-    seeded canonical search, up to the first unset entry it needs; entry i
-    of its rot array is compared with the structure's own rot[i] while that
-    is set.  A smaller entry cuts the branch, a larger one settles the base
-    for the whole subtree (it is dropped), and a base that reaches an unset
-    entry stays tied.  An entry of `tied` is the state where its search
-    stopped: the unset entry array[index], the position i, the order and
-    the labels.  Set entries never change below a node, so the search
-    resumes at position i (its labeling steps are idempotent) once that
-    entry is set, on copies: the sibling branches share the old state.
+    canonical search, up to the first unset entry it needs; entry i of its
+    rot array is compared with the structure's own rot[i] while that is
+    set, and once the rot arrays tie in full its inv array with the
+    structure's own.  A smaller entry cuts the branch, a larger one settles
+    the base for the whole subtree (it is dropped), and a base that reaches
+    an unset entry, or ties in full, stays tied.  An entry of `tied` is the
+    state where its search stopped: the unset entry array[index], the
+    position i, the order and the labels.  Set entries never change below a
+    node, so the search resumes at position i (its labeling steps are
+    idempotent) once that entry is set, on copies: the sibling branches
+    share the old state.
     """
     kept = []
     for entry in tied:
@@ -157,6 +163,10 @@ def _still_tied(rot, pre, inv, tied):
                 append(y)
                 size += 1
             i += 1
+        else:  # every entry is set and the rot arrays tie: compare inv
+            new_inv = [label[inv[x]] for x in order]
+            if new_inv != inv:
+                sign = -1 if new_inv < inv else 1
         if sign < 0:
             return None
         if sign == 0:
@@ -168,7 +178,8 @@ def _walk(n: int, trivalent: bool, pruned: bool):
     """The backtracking walk behind the census: yields (rot, inv) image
     tuples in canonical labeling from arc 0.  Unpruned it yields one
     structure per pointed class; pruned it cuts every branch that a base
-    b >= 1 already relabels to a smaller rot prefix."""
+    b >= 1 already relabels to a smaller prefix, and yields (rot, inv, aut)
+    with aut = |Aut| for a canonical leaf and 0 for a rejected one."""
     if n < 1:
         raise CensusSizeError("size must be >= 1, got %d" % n)
     rot = [-1] * n
@@ -181,8 +192,11 @@ def _walk(n: int, trivalent: bool, pruned: bool):
             if stage == 3:
                 a, stage = a + 1, 0
                 if a == used:         # every discovered arc is expanded
-                    if used == n:
+                    if used == n and tied is None:
                         yield tuple(rot), tuple(inv)
+                    elif used == n:
+                        tied = _still_tied(rot, pre, inv, tied)
+                        yield tuple(rot), tuple(inv), 0 if tied is None else len(tied) + 1
                     return
                 if tied is not None:
                     tied = _still_tied(rot, pre, inv, tied)
@@ -236,21 +250,17 @@ def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
 
     Walks the pruned tree and keeps a structure as the representative of
     its unpointed class exactly when no base arc relabels it to a smaller
-    pair (canonical augmentation: one seeded canonical search per leaf),
-    which also gives its |Aut|; pointed classes are counted as the sum of
-    n/|Aut|.  The representatives are sorted by canonical code.  Raises for
-    sizes below 1 or beyond the cap.
+    pair (canonical augmentation, decided by the pruning test), which also
+    gives its |Aut|; pointed classes are counted as the sum of n/|Aut|.
+    The representatives are sorted by canonical code.  Raises for sizes
+    below 1 or beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
         raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
-    kept = []
-    for rot, inv in _walk(n, trivalent, pruned=True):
-        form = _canonical_form(rot, inv, seeded=True)
-        if form is not None:      # (rot, inv, |Aut|)
-            kept.append(form)
+    kept = [leaf for leaf in _walk(n, trivalent, pruned=True) if leaf[2]]
     # a kept structure is its own canonical form, so this is its code
-    kept.sort(key=lambda form: _encode(n, form[0], form[1]))
+    kept.sort(key=lambda leaf: _encode(n, leaf[0], leaf[1]))
     pointed = sum(n // aut for _, _, aut in kept)
     return CensusReport(
         size=n,

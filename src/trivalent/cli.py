@@ -27,7 +27,6 @@ from . import counting
 from .diagram import (
     DiagramParseError,
     PointedDiagram,
-    automorphism_order,
     barycentric_graph,
     canonical_code,
     normality_conflict,
@@ -35,8 +34,8 @@ from .diagram import (
     pointed_morphism,
     pointed_morphism_conflict,
 )
-# unused here, but `perfbench/spans.py` wraps it by name in this module
-from .diagram import is_normal  # noqa: F401
+# unused here, but `perfbench/spans.py` wraps them by name in this module
+from .diagram import automorphism_order, is_normal  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -252,8 +251,8 @@ def _decide_conjugate(files):
 def _decide_normal(files):
     d, _ = _read_diagram_file(files[0])
     conflict = normality_conflict(d)
-    if conflict is None:
-        return True, {"automorphism_order": automorphism_order(d)}
+    if conflict is None:  # Aut acts freely and transitively: |Aut| = n
+        return True, {"automorphism_order": d.n}
     return False, {
         "unreachable_arc": conflict.partial_map[0],
         "critical_pair": _conflict_payload(conflict),

@@ -28,10 +28,7 @@ comparing the whole rot array before the inv array.  That order is
 normative for the text format: codes are comparable across implementations
 only if the order matches.  The search prunes a base at the first rot entry
 above the best so far, and a full tie with the best base is an automorphism
-whose orbits it skips, so it is near-linear on rigid diagrams.  Seeded
-with a pair labeled from arc 0, the same search tells whether that pair is
-its own canonical form, which is how the census keeps one structure per
-class.
+whose orbits it skips, so it is near-linear on rigid diagrams.
 
 Automorphisms are pointed maps (d, 0) -> (d, a), and Aut acts freely on the
 arcs, so |Aut| is the size of any Aut-orbit.  The bases that tie with the
@@ -365,7 +362,7 @@ def _merge_orbits(parent: list, perm) -> None:
             parent[rx] = ry
 
 
-def _canonical_form(rot, inv, seeded: bool = False) -> Optional[tuple]:
+def _canonical_form(rot, inv) -> tuple:
     """The (rot, inv) pair of the least relabeling over all base arcs of the
     diagram with these permutations, and its |Aut|.
 
@@ -378,12 +375,6 @@ def _canonical_form(rot, inv, seeded: bool = False) -> Optional[tuple]:
     a base whose orbit already holds a smaller (hence examined) arc is
     skipped, since it yields the same arrays.  |Aut| is the size of the best
     base's class, or 1 when no automorphism was found.
-
-    `seeded` asks whether the pair is already labeled canonically: it must
-    be labeled breadth-first from arc 0, so base 0 reproduces it, and it
-    seeds the best pair so far.  The search then returns None at the first
-    base that relabels it to a smaller pair, and otherwise the pair itself
-    and |Aut|.
     """
     n = len(rot)
     rot_inv = [0] * n
@@ -391,11 +382,8 @@ def _canonical_form(rot, inv, seeded: bool = False) -> Optional[tuple]:
         rot_inv[b] = a
     label = [-1] * n
     parent = None  # union-find of the automorphism orbits, once one is found
-    if seeded:
-        best_rot, best_inv, best_order = rot, list(inv), range(n)
-    else:
-        best_rot = best_inv = best_order = None
-    for base in range(1 if seeded else 0, n):
+    best_rot = best_inv = best_order = None
+    for base in range(n):
         if parent is not None and _find(parent, base) != base:
             continue
         label[base] = 0
@@ -412,8 +400,6 @@ def _canonical_form(rot, inv, seeded: bool = False) -> Optional[tuple]:
             if tied and r != best_rot[i]:
                 if r > best_rot[i]:
                     break
-                if seeded:
-                    return None
                 tied = False
             new_rot.append(r)
             y = rot_inv[x]
@@ -427,8 +413,6 @@ def _canonical_form(rot, inv, seeded: bool = False) -> Optional[tuple]:
         else:  # no entry exceeded the best: a full pass
             new_inv = [label[inv[x]] for x in order]
             if not tied or new_inv < best_inv:
-                if seeded:
-                    return None
                 best_rot, best_inv, best_order = new_rot, new_inv, order
             elif new_inv == best_inv:
                 automorphism = [0] * n

@@ -184,7 +184,8 @@ def check_census_vs_codes(max_trivalent, max_general):
     """The census's representatives, kept by canonical augmentation on the
     pruned walk, against the dedup that augmentation replaces: a
     `canonical_code` dict over every pointed structure of the unpruned walk,
-    one `canonical_representative` per class, sorted by code; and its
+    one `canonical_representative` per class, sorted by code; its |Aut|
+    against `automorphism_order` of those representatives; and its
     orbit-stabilizer pointed count against the number of those structures;
     for trivalent sizes up to max_trivalent and general sizes up to
     max_general."""
@@ -203,6 +204,8 @@ def check_census_vs_codes(max_trivalent, max_general):
             report = census.enumerate_size(n, trivalent)
             if report.class_representatives != expected:
                 _fail("census-vs-codes", "%s size %d: representatives differ" % (flavor, n))
+            if report.automorphism_orders != tuple(map(diagram.automorphism_order, expected)):
+                _fail("census-vs-codes", "%s size %d: automorphism orders differ" % (flavor, n))
             if report.pointed_classes != pointed:
                 _fail("census-vs-codes", "%s size %d: %d pointed classes, %d pointed structures"
                       % (flavor, n, report.pointed_classes, pointed))

@@ -15,7 +15,6 @@ from trivalent.census import (
 )
 from trivalent.diagram import (
     Diagram,
-    _canonical_form,
     _encode,
     automorphism_order,
     automorphisms,
@@ -38,8 +37,8 @@ TRIVALENT_UNPOINTED = [1, 1, 2, 2, 1, 8, 6, 7, 14]
 # leaves the pruned walk reaches per size: fewer would mean a sharper rule,
 # more that a branch a smaller base already settles is no longer cut
 PRUNED_LEAVES = {
-    True: [1, 1, 4, 8, 2, 18, 21, 8, 65, 97, 46, 280],
-    False: [1, 3, 7, 22, 48, 126, 323, 1000],
+    True: [1, 1, 3, 8, 2, 14, 21, 8, 46, 97, 46, 221],
+    False: [1, 3, 6, 19, 39, 109, 279, 878],
 }
 
 
@@ -102,21 +101,23 @@ def test_structures_are_canonically_labeled_and_distinct(trivalent):
 
 @pytest.mark.parametrize("trivalent, max_size", [(True, 10), (False, 6)],
                          ids=["trivalent", "general"])
-def test_seeded_search_keeps_exactly_the_canonical_structures(trivalent, max_size):
-    # the augmentation rule against the canonical code, structure by structure
+def test_pruned_walk_keeps_exactly_the_canonical_structures(trivalent, max_size):
+    # the augmentation rule against the canonical code, structure by
+    # structure; a structure the walk cuts before its leaf counts as aut 0
     for n in range(1, max_size + 1):
+        leaves = {(rot, inv): aut for rot, inv, aut in _walk(n, trivalent, pruned=True)}
         for rot, inv in pointed_structures(n, trivalent):
             d = Diagram(rot, inv)
-            kept = _canonical_form(rot, inv, seeded=True)
-            assert (kept is not None) == (canonical_code(d) == _encode(n, rot, inv))
-            if kept is not None:
-                assert kept == (rot, inv, len(automorphisms(d)))
+            aut = leaves.get((rot, inv), 0)
+            assert (aut > 0) == (canonical_code(d) == _encode(n, rot, inv))
+            if aut > 0:
+                assert aut == len(automorphisms(d))
 
 
 @pytest.mark.parametrize("trivalent", [True, False], ids=["trivalent", "general"])
 def test_pruned_walk_cuts_only_non_canonical_structures(trivalent):
     for n, count in enumerate(PRUNED_LEAVES[trivalent], 1):
-        leaves = list(_walk(n, trivalent, pruned=True))
+        leaves = [(rot, inv) for rot, inv, _ in _walk(n, trivalent, pruned=True)]
         assert len(leaves) == count
         stream = list(pointed_structures(n, trivalent))
         kept = set(leaves)
@@ -215,6 +216,18 @@ def test_automorphism_orders_and_normality_of_representatives(trivalent, max_siz
             if is_normal(d):
                 normal.append(d)
         assert report.normal_representatives() == normal
+
+
+@pytest.mark.parametrize("n, trivalent, digest", [
+    (8, False, "82f74da608afd7560f33ddd051d7dc56e06622ec2faaf31b1f19161df55e5c55"),
+    (9, False, "26cc8758ef804dcbd6812d16864ee6572d4f6a7f96aa3f37941d82e01f251ac3"),
+    (14, True, "b3d381fbcaed6490b07c87c7731ad404459a53d706045d6478ae34ee244a5546"),
+])
+def test_automorphism_orders_are_pinned(n, trivalent, digest):
+    # |Aut| of each representative, in listing order, beyond the sizes that
+    # the tests above check against `automorphisms`
+    orders = enumerate_size(n, trivalent).automorphism_orders
+    assert hashlib.sha256(",".join(map(str, orders)).encode("ascii")).hexdigest() == digest
 
 
 def test_normal_counts():

@@ -300,10 +300,10 @@ def test_census_internal_value_error_exits_4(monkeypatch, capsys):
     # only the size checks are input errors; a fault inside the census is not
     from trivalent import census
 
-    def canonical_form(rot, inv, seeded=False):
+    def still_tied(rot, pre, inv, tied):
         raise ValueError("simulated internal fault")
 
-    monkeypatch.setattr(census, "_canonical_form", canonical_form)
+    monkeypatch.setattr(census, "_still_tied", still_tied)
     code, out, err = run(capsys, "census", "--size", "3")
     assert code == cli.EXIT_INTERNAL
     assert out == ""
