@@ -40,7 +40,7 @@ from .diagram import (
     parse_diagram_text,
     pointed_morphism,
 )
-from .census import CensusReport, enumerate_normal, enumerate_size
+from .census import CensusReport, enumerate_size
 from .counting import (
     conjugacy_class_series,
     conjugacy_class_series_dense,
@@ -72,7 +72,6 @@ __all__ = [
     "parse_diagram_text",
     "pointed_morphism",
     "CensusReport",
-    "enumerate_normal",
     "enumerate_size",
     "conjugacy_class_series",
     "conjugacy_class_series_dense",

@@ -43,13 +43,18 @@ every entry set, has its inv array compared the same way.  The same test
 decides at the leaf: the structure is kept exactly when no base is
 smaller, and then each base still tied relabels it to itself, i.e. is the
 image of arc 0 under an automorphism, so |Aut| is one more than their
-number.  `selftest` rebuilds the representatives by canonical code, and
-their |Aut| by canonical search, as the oracle of this rule.
+number.  Every leaf of the walk is therefore one (rot, inv, aut) triple,
+aut = |Aut| for a kept structure and 0 for a rejected one.  Unpruned, the
+walk has no base to test, so it cuts nothing and every leaf has aut = 1;
+`pointed_structures` is that stream.  `selftest` rebuilds the
+representatives by canonical code, and their |Aut| by canonical search, as
+the oracle of this rule.
 
-Aut acts freely on the arcs, so a class holds n/|Aut| pointed classes: the
-pointed count is the sum of n/|Aut| over the representatives, and by
-rigidity there are (n-1)! labeled structures per pointed class.  A class is
-normal exactly when Aut is arc-transitive, i.e. when |Aut| = n.
+A `CensusReport` holds the kept leaves and derives every count from
+them.  Aut acts freely on the arcs, so a class holds n/|Aut| pointed
+classes: the pointed count is the sum of n/|Aut| over the representatives,
+and by rigidity there are (n-1)! labeled structures per pointed class.  A
+class is normal exactly when Aut is arc-transitive, i.e. when |Aut| = n.
 """
 
 from __future__ import annotations
@@ -71,23 +76,23 @@ class CensusSizeError(ValueError):
 
 
 class CensusReport:
-    """Counts and representatives for one size.
+    """Counts and representatives for one size, built from the kept leaves.
 
-    `labelled_connected` is the number of connected labeled structures; by
-    rigidity it equals pointed_classes * (size-1)!.  `automorphism_orders`
-    holds |Aut| of each representative, in the same order.  A report is not
-    a tuple: `perfbench/run.py` reads any tuple result as a CLI
-    (exit code, stdout) pair.
+    `automorphism_orders` holds |Aut| of each representative, in the same
+    order.  The counts follow: one unpointed class per representative,
+    size/|Aut| pointed classes per unpointed one, and by rigidity
+    `labelled_connected` = pointed_classes * (size-1)! connected labeled
+    structures.  A report is not a tuple: `perfbench/run.py` reads any
+    tuple result as a CLI (exit code, stdout) pair.
     """
 
     __slots__ = ("size", "labelled_connected", "pointed_classes",
                  "unpointed_classes", "class_representatives", "automorphism_orders")
 
-    def __init__(self, size: int, labelled_connected: int, pointed_classes: int,
-                 unpointed_classes: int, class_representatives: tuple = (),
-                 automorphism_orders: tuple = ()):
-        values = (size, labelled_connected, pointed_classes, unpointed_classes,
-                  class_representatives, automorphism_orders)
+    def __init__(self, size: int, class_representatives: tuple, automorphism_orders: tuple):
+        pointed = sum(size // aut for aut in automorphism_orders)
+        values = (size, pointed * math.factorial(size - 1), pointed,
+                  len(class_representatives), class_representatives, automorphism_orders)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -175,11 +180,13 @@ def _still_tied(rot, pre, inv, tied):
 
 
 def _walk(n: int, trivalent: bool, pruned: bool):
-    """The backtracking walk behind the census: yields (rot, inv) image
-    tuples in canonical labeling from arc 0.  Unpruned it yields one
-    structure per pointed class; pruned it cuts every branch that a base
-    b >= 1 already relabels to a smaller prefix, and yields (rot, inv, aut)
-    with aut = |Aut| for a canonical leaf and 0 for a rejected one."""
+    """The backtracking walk behind the census: yields one (rot, inv, aut)
+    triple per leaf, rot and inv the image tuples in canonical labeling from
+    arc 0 and aut = |Aut| of a canonical leaf, 0 for a rejected one.
+    Pruned, it cuts every branch that a base b >= 1 already relabels to a
+    smaller prefix, and the leaves with aut > 0 are the class
+    representatives.  Unpruned, it tests no base, so it cuts nothing and
+    every leaf has aut 1: one rigid structure per pointed class."""
     if n < 1:
         raise CensusSizeError("size must be >= 1, got %d" % n)
     rot = [-1] * n
@@ -191,17 +198,14 @@ def _walk(n: int, trivalent: bool, pruned: bool):
         while True:
             if stage == 3:
                 a, stage = a + 1, 0
-                if a == used:         # every discovered arc is expanded
-                    if used == n and tied is None:
-                        yield tuple(rot), tuple(inv)
-                    elif used == n:
-                        tied = _still_tied(rot, pre, inv, tied)
-                        yield tuple(rot), tuple(inv), 0 if tied is None else len(tied) + 1
+                if a == used < n:     # a dead end: the discovered arcs close off short of n
                     return
-                if tied is not None:
-                    tied = _still_tied(rot, pre, inv, tied)
-                    if tied is None:
-                        return
+                tied = _still_tied(rot, pre, inv, tied)
+                if a == used:         # a leaf: all n arcs are expanded
+                    yield tuple(rot), tuple(inv), 0 if tied is None else len(tied) + 1
+                    return
+                if tied is None:
+                    return
             fwd, bwd = stages[stage]
             if fwd[a] == -1:
                 break
@@ -229,9 +233,8 @@ def _walk(n: int, trivalent: bool, pruned: bool):
             fwd[a] = -1
             bwd[b] = -1
 
-    tied = None
+    tied = []
     if pruned:
-        tied = []
         for b in range(1, n):
             label = [-1] * n
             label[b] = 0
@@ -241,19 +244,19 @@ def _walk(n: int, trivalent: bool, pruned: bool):
 
 def pointed_structures(n: int, trivalent: bool = True):
     """Yield (rot, inv) image tuples, one per pointed isomorphism class of
-    connected diagrams on n arcs, each in canonical labeling."""
-    return _walk(n, trivalent, pruned=False)
+    connected diagrams on n arcs, each in canonical labeling: the leaves of
+    the unpruned walk."""
+    return ((rot, inv) for rot, inv, _ in _walk(n, trivalent, pruned=False))
 
 
 def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """Construct all connected diagrams of size n.
 
-    Walks the pruned tree and keeps a structure as the representative of
-    its unpointed class exactly when no base arc relabels it to a smaller
-    pair (canonical augmentation, decided by the pruning test), which also
-    gives its |Aut|; pointed classes are counted as the sum of n/|Aut|.
-    The representatives are sorted by canonical code.  Raises for sizes
-    below 1 or beyond the cap.
+    Walks the pruned tree and keeps the leaves with aut > 0, each the
+    representative of its unpointed class (canonical augmentation, decided
+    by the pruning test, which also gives its |Aut|), sorted by canonical
+    code; the report derives its counts from them.  Raises for sizes below
+    1 or beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
@@ -261,18 +264,5 @@ def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     kept = [leaf for leaf in _walk(n, trivalent, pruned=True) if leaf[2]]
     # a kept structure is its own canonical form, so this is its code
     kept.sort(key=lambda leaf: _encode(n, leaf[0], leaf[1]))
-    pointed = sum(n // aut for _, _, aut in kept)
-    return CensusReport(
-        size=n,
-        labelled_connected=pointed * math.factorial(n - 1),
-        pointed_classes=pointed,
-        unpointed_classes=len(kept),
-        class_representatives=tuple(_trusted_diagram(rot, inv) for rot, inv, _ in kept),
-        automorphism_orders=tuple(aut for _, _, aut in kept),
-    )
-
-
-def enumerate_normal(n: int, trivalent: bool = True) -> list:
-    """The unpointed representatives whose automorphism group is
-    arc-transitive (normal subgroups of the classified group)."""
-    return enumerate_size(n, trivalent).normal_representatives()
+    return CensusReport(n, tuple(_trusted_diagram(rot, inv) for rot, inv, _ in kept),
+                        tuple(aut for _, _, aut in kept))

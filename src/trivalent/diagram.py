@@ -166,17 +166,6 @@ class PointedDiagram:
     def to_text(self) -> str:
         return "%s; base=%d" % (self.diagram.to_text(), self.base)
 
-    def __eq__(self, other):
-        if not isinstance(other, PointedDiagram):
-            return NotImplemented
-        return self.diagram == other.diagram and self.base == other.base
-
-    def __hash__(self):
-        return hash((self.diagram, self.base))
-
-    def __repr__(self):
-        return "PointedDiagram(%r, base=%d)" % (self.diagram, self.base)
-
 
 # ---------------------------------------------------------------------------
 # text format

@@ -41,7 +41,7 @@ def test_criterion_2_class_counts_to_50():
 
 def test_criterion_3_weight_500():
     start = time.perf_counter()
-    selftest.check_index_500(print)
+    selftest.check_index_500()
     assert len(str(reference.SUBGROUPS_INDEX_500)) == 203
     assert len(str(reference.CONJUGACY_CLASSES_INDEX_500)) == 200
     elapsed = time.perf_counter() - start

@@ -9,7 +9,6 @@ from trivalent.census import (
     CENSUS_CAP_GENERAL,
     CENSUS_CAP_TRIVALENT,
     _walk,
-    enumerate_normal,
     enumerate_size,
     pointed_structures,
 )
@@ -114,6 +113,17 @@ def test_pruned_walk_keeps_exactly_the_canonical_structures(trivalent, max_size)
                 assert aut == len(automorphisms(d))
 
 
+@pytest.mark.parametrize("trivalent, max_size", [(True, 10), (False, 7)],
+                         ids=["trivalent", "general"])
+def test_unpruned_walk_leaves_are_rigid(trivalent, max_size):
+    # unpruned, the walk tests no base, so it cuts nothing and every leaf
+    # is a rigid pointed structure; `pointed_structures` is its (rot, inv)
+    for n in range(1, max_size + 1):
+        leaves = list(_walk(n, trivalent, pruned=False))
+        assert all(aut == 1 for _, _, aut in leaves)
+        assert list(pointed_structures(n, trivalent)) == [(rot, inv) for rot, inv, _ in leaves]
+
+
 @pytest.mark.parametrize("trivalent", [True, False], ids=["trivalent", "general"])
 def test_pruned_walk_cuts_only_non_canonical_structures(trivalent):
     for n, count in enumerate(PRUNED_LEAVES[trivalent], 1):
@@ -209,6 +219,8 @@ def test_automorphism_orders_and_normality_of_representatives(trivalent, max_siz
     for n in range(1, max_size + 1):
         report = enumerate_size(n, trivalent)
         assert len(report.automorphism_orders) == report.unpointed_classes
+        assert report.unpointed_classes == len(report.class_representatives)
+        assert report.pointed_classes == sum(n // aut for aut in report.automorphism_orders)
         normal = []
         for d, aut in zip(report.class_representatives, report.automorphism_orders):
             assert aut == len(automorphisms(d))
@@ -231,13 +243,13 @@ def test_automorphism_orders_are_pinned(n, trivalent, digest):
 
 
 def test_normal_counts():
-    assert len(enumerate_normal(3)) == 1
-    assert len(enumerate_normal(5)) == 0
-    assert len(enumerate_normal(6)) == 2
+    assert len(enumerate_size(3).normal_representatives()) == 1
+    assert len(enumerate_size(5).normal_representatives()) == 0
+    assert len(enumerate_size(6).normal_representatives()) == 2
 
 
 def test_normal_size6_structure():
-    normals = enumerate_normal(6)
+    normals = enumerate_size(6).normal_representatives()
     assert sorted(automorphism_order(d) for d in normals) == [6, 6]
     abelian = []
     for d in normals:
@@ -257,7 +269,7 @@ def test_normal_representatives_pass_is_normal():
     for n in range(1, 8):
         report = enumerate_size(n)
         expected = [d for d in report.class_representatives if is_normal(d)]
-        assert enumerate_normal(n) == expected
+        assert report.normal_representatives() == expected
 
 
 def test_cap_enforced():
