@@ -42,41 +42,45 @@ stops at the first failed closure.
 
 from __future__ import annotations
 
-from collections import deque
+import json
 from typing import NamedTuple, Optional
 
 
 def _check_permutation(name: str, images, n: Optional[int] = None) -> tuple:
     """`images` as a tuple of ints, a permutation of 0..n-1 (n its length by default)."""
-    images = tuple(int(x) for x in images)
+    images = tuple(map(int, images))
     if n is None:
         n = len(images)
     elif len(images) != n:
         raise ValueError("%s must have %d entries, got %d" % (name, n, len(images)))
-    seen = [False] * n
-    for x in images:
-        if not 0 <= x < n:
-            raise ValueError("%s image %d out of range 0..%d" % (name, x, n - 1))
-        if seen[x]:
-            raise ValueError("%s is not a permutation: image %d repeated" % (name, x))
-        seen[x] = True
+    if images and (min(images) < 0 or max(images) >= n or len(set(images)) < n):
+        # not a permutation: name the first bad image
+        seen = [False] * n
+        for x in images:
+            if not 0 <= x < n:
+                raise ValueError("%s image %d out of range 0..%d" % (name, x, n - 1))
+            if seen[x]:
+                raise ValueError("%s is not a permutation: image %d repeated" % (name, x))
+            seen[x] = True
     return images
 
 
 def _transitive(rot, inv) -> bool:
     """True iff the permutations rot and inv of arcs 0..n-1 act transitively."""
-    seen = [False] * len(rot)
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        a = stack.pop()
-        for b in (rot[a], inv[a]):
-            if not seen[b]:
-                seen[b] = True
-                count += 1
-                stack.append(b)
-    return count == len(rot)
+    seen = bytearray(len(rot))
+    seen[0] = 1
+    reached = [0]
+    append = reached.append
+    for a in reached:  # the list grows while it is walked
+        b = rot[a]
+        if not seen[b]:
+            seen[b] = 1
+            append(b)
+        b = inv[a]
+        if not seen[b]:
+            seen[b] = 1
+            append(b)
+    return len(reached) == len(rot)
 
 
 class Diagram:
@@ -184,7 +188,9 @@ def parse_diagram_text(text: str):
     """Parse the normative text format.
 
     ``n=<int>; rot=[i0,...]; inv=[j0,...]`` with an optional ``; base=<int>``;
-    whitespace is insignificant everywhere.  Returns (Diagram, base or None).
+    every integer is a JSON integer (no sign but ``-``, no leading zero, no
+    ``_``, ASCII digits only) and whitespace is insignificant everywhere.
+    Returns (Diagram, base or None).
     """
 
     def error(message, offset):
@@ -219,24 +225,28 @@ def parse_diagram_text(text: str):
         if required not in fields:
             raise error("missing field %r" % required, len(text))
 
+    def parse_json(value):
+        # None unless the value is JSON; deep nesting is malformed input too
+        try:
+            return json.loads(value)
+        except (ValueError, RecursionError):
+            return None
+
     def parse_int(key):
         value, seg_offset = fields[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise error("field %r is not an integer: %r" % (key, value), seg_offset) from None
+        number = parse_json(value)
+        if type(number) is not int:
+            raise error("field %r is not an integer: %r" % (key, value), seg_offset)
+        return number
 
     def parse_list(key):
         value, seg_offset = fields[key]
         if not (value.startswith("[") and value.endswith("]")):
             raise error("field %r must be a bracketed list" % key, seg_offset)
-        body = value[1:-1]
-        if not body:
-            return []
-        try:
-            return [int(x) for x in body.split(",")]
-        except ValueError:
-            raise error("field %r has a non-integer entry" % key, seg_offset) from None
+        entries = parse_json(value)
+        if entries is None or not {int}.issuperset(map(type, entries)):
+            raise error("field %r has a non-integer entry" % key, seg_offset)
+        return entries
 
     n = parse_int("n")
     rot = parse_list("rot")
@@ -281,28 +291,27 @@ def _close(src: Diagram, a: int, dst: Diagram, b: int):
     (None, MorphismConflict).  Touches each src arc a bounded number of
     times, so it runs in O(src.n) generator applications.
     """
+    src_rot, src_inv, dst_rot, dst_inv = src.rot, src.inv, dst.rot, dst.inv
     m = [-1] * src.n
     m[a] = b
-    queue = deque((a,))
-    gens = (("rot", src.rot, dst.rot), ("inv", src.inv, dst.inv))
-    while queue:
-        x = queue.popleft()
+    queue = [a]  # breadth-first: the list grows while it is walked
+    append = queue.append
+    for x in queue:
         mx = m[x]
-        for name, g_src, g_dst in gens:
-            y = g_src[x]
-            image = g_dst[mx]
-            if m[y] < 0:
-                m[y] = image
-                queue.append(y)
-            elif m[y] != image:
-                return None, MorphismConflict(
-                    arc=x,
-                    generator=name,
-                    target_arc=y,
-                    existing=m[y],
-                    required=image,
-                    partial_map=tuple(m),
-                )
+        y = src_rot[x]
+        image = dst_rot[mx]
+        if m[y] < 0:
+            m[y] = image
+            append(y)
+        elif m[y] != image:
+            return None, MorphismConflict(x, "rot", y, m[y], image, tuple(m))
+        y = src_inv[x]
+        image = dst_inv[mx]
+        if m[y] < 0:
+            m[y] = image
+            append(y)
+        elif m[y] != image:
+            return None, MorphismConflict(x, "inv", y, m[y], image, tuple(m))
     return tuple(m), None
 
 

@@ -265,13 +265,6 @@ def test_normal_size6_structure():
     assert sorted(abelian) == [False, True]
 
 
-def test_normal_representatives_pass_is_normal():
-    for n in range(1, 8):
-        report = enumerate_size(n)
-        expected = [d for d in report.class_representatives if is_normal(d)]
-        assert report.normal_representatives() == expected
-
-
 def test_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_size(CENSUS_CAP_TRIVALENT + 1)

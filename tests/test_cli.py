@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from trivalent import cli
+from trivalent.diagram import PointedDiagram
 
 TERMINAL_TEXT = "n=1; rot=[0]; inv=[0]; base=0"
 INDEX2_TEXT = "n=2; rot=[0,1]; inv=[1,0]; base=0"
@@ -404,11 +405,21 @@ def _decide_pin_inputs():
 
     rng = random.Random(610)
     rigid = selftest.random_trivalent(rng, 600)
+    rigid_relabeled = rigid.relabel(rng.sample(range(600), 600))
+    psl2_7 = selftest.psl2_regular(7)
+    # a 16-fold cover of psl2_7 (2688 arcs): a -> a // 16 is a morphism onto it
+    big = selftest.random_cover(psl2_7, 16, random.Random(10946))
+    base = rng.randrange(big.n)
+    perm = rng.sample(range(big.n), big.n)
     return {
         "rigid": rigid,
-        "rigid_relabeled": rigid.relabel(rng.sample(range(600), 600)),
-        "psl2_7": selftest.psl2_regular(7),
+        "rigid_relabeled": rigid_relabeled,
+        "psl2_7": psl2_7,
         "cover": selftest.random_cover(selftest.psl2_regular(5), 2, random.Random(6765)),
+        "rigid_pointed": PointedDiagram(rigid, 0),
+        "psl2_7_pointed": PointedDiagram(psl2_7, base // 16),
+        "big_cover": PointedDiagram(big, base),
+        "big_cover_relabeled": PointedDiagram(big.relabel(perm), perm[base]),
     }
 
 
@@ -419,6 +430,14 @@ def _decide_pin_inputs():
      "09647850bd07271556450197b8642518e38e442cb15a31e460260abcbf4e644f"),
     ("normal", ("cover",),
      "56298e15f4b5c34c749b6cce65c045327bbf495a4d83b50c3b6d26a0f84c7a2f"),
+    # the closure: a map witness, a critical pair and a bijection, from
+    # sources of 2688 and 600 arcs
+    ("included", ("big_cover", "psl2_7_pointed"),
+     "9aea0e2ac9fb254ec0aa3d6f86e6a34e86bf924d2719b63796823309d2b70f14"),
+    ("included", ("rigid_pointed", "psl2_7_pointed"),
+     "eb9ecec80fb173a0a2a0bad774ea34a87621e1d94969491c87fb83a5a8c37894"),
+    ("isomorphic", ("big_cover", "big_cover_relabeled"),
+     "7786a57d7f53864055b350e0c534b2c6946f32ad27de28f0633044777f3990ee"),
 ])
 def test_decide_output_bytes_are_pinned(tmp_path, capsys, relation, names, digest):
     # the canonical-code search and the orbit algorithm may change, never

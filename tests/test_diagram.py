@@ -369,6 +369,7 @@ PARSE_ERRORS = [
     ("n=2; rot=[0,1]; inv=[1,0]; base=7", "base=7 out of range 0..1", 1, 28),
     ("n=2; rot=[0,1]; inv=[1,0]; color=red", "unknown field 'color'", 1, 28),
     ("n=2; rot=[0,0]; inv=[1,0]", "rot is not a permutation: image 0 repeated", 1, 6),
+    ("n=2; rot=[-1,0]; inv=[0,1]", "rot image -1 out of range 0..1", 1, 6),
     ("n=2; n=2", "duplicate field 'n'", 1, 6),
     ("n=x; rot=[]; inv=[]", "field 'n' is not an integer: 'x'", 1, 1),
     ("n=2; rot=0,1; inv=[1,0]", "field 'rot' must be a bracketed list", 1, 6),
@@ -376,10 +377,54 @@ PARSE_ERRORS = [
     ("n=0; rot=[]; inv=[]", "a diagram needs at least one arc", 1, 6),
     ("\n\n  n=1;rot=[0];inv=[0];\n  bogus", "expected key=value, got 'bogus'", 4, 3),
     ("n=2;\nrot=[0,0];\ninv=[1,0]", "rot is not a permutation: image 0 repeated", 2, 1),
+    # entries are JSON integers: no "+", leading zero, underscore or
+    # non-ASCII digit, and any nesting depth is an input error
+    ("n=2; rot=[+1,0]; inv=[0,1]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=2; rot=[01,0]; inv=[0,1]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=2; rot=[1_0,0]; inv=[0,1]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=1; rot=[\u0660]; inv=[0]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=2; rot=[true,0]; inv=[0,1]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=2; rot=[1.0,0]; inv=[0,1]", "field 'rot' has a non-integer entry", 1, 6),
+    ("n=2; rot=[1,0]; inv=[0,1]; base=+1", "field 'base' is not an integer: '+1'", 1, 28),
+    ("n=1; rot=%s%s; inv=[0]" % ("[" * 200000, "]" * 200000),
+     "field 'rot' has a non-integer entry", 1, 6),
+]
+
+
+def _chain(triangles):
+    """rot and inv of a connected trivalent diagram: 3-cycles (3k, 3k+1,
+    3k+2), arc 3k+1 paired with arc 3k+3, every other arc folded."""
+    n = 3 * triangles
+    rot = [a - 2 if a % 3 == 2 else a + 1 for a in range(n)]
+    inv = list(range(n))
+    for a in range(1, n - 3, 3):
+        inv[a], inv[a + 2] = a + 2, a
+    return rot, inv
+
+
+def _planted(rot_edits, inv_edits):
+    """The 3000-arc chain as text over three lines, with the edits applied."""
+    rot, inv = _chain(1000)
+    for a, b in rot_edits.items():
+        rot[a] = b
+    for a, b in inv_edits.items():
+        inv[a] = b
+    return "n=%d;\nrot=%s;\ninv=%s" % (len(rot), rot, inv)
+
+
+# one fault planted near the end of a large diagram
+PARSE_ERRORS += [
+    (_planted({2998: 3000}, {}), "rot image 3000 out of range 0..2999", 2, 1),
+    (_planted({}, {2999: 2998}), "inv is not a permutation: image 2998 repeated", 2, 1),
+    (_planted({}, {2990: 2993, 2993: 2996, 2996: 2990}),
+     "inv is not an involution (at arc 2990)", 2, 1),
+    (_planted({}, {2995: 2995, 2997: 2997}), "diagram is not connected", 2, 1),
 ]
 
 
 def test_parse_errors_carry_position():
+    d, base = parse_diagram_text(_planted({}, {}))
+    assert (d.n, base) == (3000, None)
     for text, message, line, column in PARSE_ERRORS:
         with pytest.raises(DiagramParseError) as info:
             parse_diagram_text(text)
