@@ -28,13 +28,15 @@ turns the whole computation into one short log per k:
 where c[k][n] is the (rational) condensed coefficient built from the two
 per-column fixed-point counts.
 
-Arithmetic.  `subgroup_series` and `conjugacy_class_series` run modulo one
-prime power M = P^e, P the least prime above the order N (`_modulus`).  The
-only divisors, k^n·n! in the trivalent columns, are then units, and all
-their inverses come from one modular inversion of N! (`_inverses`).  Each column's t·d/dt log comes from
-a division-free recurrence (`_log_derivative`), O(m^2) residue products for
-a column of length m, so about 0.8·N^2 products for the class counts.  The
-residues of n·count are lifted once (`_lift`): every count has an a priori
+Arithmetic.  Both `subgroup_series` (column 1) and `conjugacy_class_series`
+(columns 1..N) enter residues in one place, `_column_logs`, which runs
+modulo one prime power M = P^e, P the least prime above the order N
+(`_modulus`).  The only divisors, k^n·n! in the trivalent columns, are then
+units, and all their inverses come from one modular inversion of N!
+(`_inverses`).  Each column's t·d/dt log comes from a division-free
+recurrence (`_log_derivative`), O(m^2) residue products for a column of
+length m, so about 0.8·N^2 products for the class counts.  The residues of
+n·count are lifted once (`_lift`): every count has an a priori
 bound (`_bounds`), M exceeds 2^64 times it, and a residue that is not n
 times a count within its bound raises `ValueError`.  On a 2-core x86 host
 with Python 3.11.7 the index-500 series take 0.05–0.09 s each.  The
@@ -119,34 +121,39 @@ def subgroup_series(order: int, general: bool = False) -> TruncSeries:
     because pointed connected diagrams have no automorphisms, so the counts
     are t·d/dt log of the k = 1 column, taken modulo one prime power.
     """
-    first = _fixed_points(1, order, general)
-    bounds = _bounds(first)
+    lg, modulus, bounds = _column_logs(order, general, 1)
+    return _lift([n * v % modulus for n, v in enumerate(lg)], bounds)
+
+
+def _column_logs(order: int, general: bool, columns: int) -> tuple:
+    """(lg, modulus, bounds): lg[n], n = 0..order, is the t^n coefficient of
+    t·d/dt log of the product of the condensed columns k = 1..columns modulo
+    `modulus`, and `bounds` are the bounds `_lift` checks.  This is where both
+    series enter residues: column k, a series in t^k, puts k·B_j at t^{kj}."""
+    bounds = _bounds(order, general)
     modulus = _modulus(order, max(bounds))
     inverses = None if general else _inverses(order, modulus)
-    b = _log_derivative(_residue_column(1, first, modulus, inverses), modulus)
-    return _lift([n * v % modulus for n, v in enumerate(b)], bounds)
+    lg = [0] * (order + 1)
+    for k in range(1, columns + 1):
+        column = _residue_column(k, order // k, general, modulus, inverses)
+        b = _log_derivative(column, modulus)
+        for j in range(1, len(b)):
+            lg[k * j] = (lg[k * j] + k * b[j]) % modulus
+    return lg, modulus, bounds
 
 
-def _fixed_points(k: int, n_max: int, general: bool) -> tuple:
-    """The exact counts (E_2(k,n), E_3(k,n)) for n = 0..n_max, with None for
-    E_3 in the general flavor.  The series compute the k = 1 pair, I_2 and
-    I_3, once: it gives both the bounds and the first column."""
-    return (commuting_order_p_counts(2, k, n_max),
-            None if general else commuting_order_p_counts(3, k, n_max))
-
-
-def _bounds(first: tuple) -> list:
-    """b_n = h_n // (n-1)! for n = 0..order, from first = `_fixed_points(1,
-    order, general)`, where h_n = I_2(n)·I_3(n) counts the labeled pairs
-    (general flavor: I_2(n)·n!, so b_n = n·I_2(n)).  The connected pairs
-    among them number (n-1)! times the index-n subgroups, and there are no
-    more classes than subgroups, so b_n bounds both counts."""
-    involutions, cubes = first
-    if cubes is None:
+def _bounds(order: int, general: bool) -> list:
+    """b_n = h_n // (n-1)! for n = 0..order, where h_n = I_2(n)·I_3(n) counts
+    the labeled pairs (general flavor: I_2(n)·n!, so b_n = n·I_2(n)).  The
+    connected pairs among them number (n-1)! times the index-n subgroups,
+    and there are no more classes than subgroups, so b_n bounds both counts."""
+    involutions = commuting_order_p_counts(2, 1, order)
+    if general:
         return [n * v for n, v in enumerate(involutions)]
-    bounds = [0] * len(cubes)
+    cubes = commuting_order_p_counts(3, 1, order)
+    bounds = [0] * (order + 1)
     factorial = 1  # (n-1)!
-    for n in range(1, len(cubes)):
+    for n in range(1, order + 1):
         bounds[n] = involutions[n] * cubes[n] // factorial
         factorial *= n
     return bounds
@@ -182,16 +189,17 @@ def _inverses(n: int, modulus: int) -> list:
     return table
 
 
-def _residue_column(k: int, fixed: tuple, modulus: int, inverses) -> list:
-    """The condensed column k of `_condensed_column` modulo `modulus`, from
-    fixed = `_fixed_points(k, n_max, general)`: E_2(k,n)·E_3(k,n)/(k^n·n!),
-    or E_2(k,n) in the general flavor, which needs no inverses."""
-    e2, e3 = fixed
-    if e3 is None:
+def _residue_column(k: int, n_max: int, general: bool, modulus: int, inverses) -> list:
+    """The condensed column k of `_condensed_column` modulo `modulus`:
+    E_2(k,n)·E_3(k,n)/(k^n·n!) for n = 0..n_max, or E_2(k,n) in the general
+    flavor, which needs no inverses."""
+    e2 = commuting_order_p_counts(2, k, n_max)
+    if general:
         return [v % modulus for v in e2]
-    column = [1] * len(e3)
+    e3 = commuting_order_p_counts(3, k, n_max)
+    column = [1] * (n_max + 1)
     scale = 1  # 1/(k^n·n!)
-    for n in range(1, len(e3)):
+    for n in range(1, n_max + 1):
         scale = scale * inverses[k] % modulus * inverses[n] % modulus
         column[n] = e2[n] * e3[n] % modulus * scale % modulus
     return column
@@ -266,19 +274,9 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
     Takes the log of the condensed Hadamard product column by column on
     compressed coefficient lists, then applies Moebius inversion, so the
     truncated series never materializes partition-many terms.  Everything
-    runs modulo the prime power of `_modulus` and is lifted once.
+    runs modulo the prime power of `_column_logs` and is lifted once.
     """
-    first = _fixed_points(1, order, general)
-    bounds = _bounds(first)
-    modulus = _modulus(order, max(bounds))
-    inverses = None if general else _inverses(order, modulus)
-    # lg = t·d/dt of the log of the product: column k puts k·B_j at t^{kj}
-    lg = [0] * (order + 1)
-    for k in range(1, order + 1):
-        fixed = first if k == 1 else _fixed_points(k, order // k, general)
-        b = _log_derivative(_residue_column(k, fixed, modulus, inverses), modulus)
-        for j in range(1, len(b)):
-            lg[k * j] = (lg[k * j] + k * b[j]) % modulus
+    lg, modulus, bounds = _column_logs(order, general, order)
     # lg[n] = sum_{d | n} d·c_d, so n·c_n = sum_{r | n} mu(r)·lg[n/r]
     mu = moebius_sieve(order)
     out = [0] * (order + 1)

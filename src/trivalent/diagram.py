@@ -47,8 +47,12 @@ from typing import NamedTuple, Optional
 
 
 def _check_permutation(name: str, images, n: Optional[int] = None) -> tuple:
-    """`images` as a tuple of ints, a permutation of 0..n-1 (n its length by default)."""
-    images = tuple(map(int, images))
+    """`images` as a tuple, a permutation of 0..n-1 (n its length by default)
+    whose entries are all of type `int`: a bool, float or str is refused,
+    never truncated."""
+    images = tuple(images)
+    if not {int}.issuperset(map(type, images)):
+        raise ValueError("%s has a non-integer entry" % name)
     if n is None:
         n = len(images)
     elif len(images) != n:
@@ -159,6 +163,8 @@ class PointedDiagram:
     __slots__ = ("diagram", "base")
 
     def __init__(self, diagram: Diagram, base: int):
+        if type(base) is not int:
+            raise ValueError("base is not an integer: %r" % (base,))
         if not 0 <= base < diagram.n:
             raise ValueError("base arc %d out of range 0..%d" % (base, diagram.n - 1))
         object.__setattr__(self, "diagram", diagram)

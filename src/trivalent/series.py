@@ -195,21 +195,12 @@ def moebius_mu(n: int) -> int:
 
 
 def moebius_sieve(n: int) -> list:
-    """Moebius function values mu(0..n) computed by a linear sieve."""
-    if n < 1:
-        return [0] * (n + 1)
+    """Moebius function values mu(0..n), mu(0) = 0, from the divisor sum:
+    sum_{d | m} mu(d) is 1 at m = 1 and 0 for m > 1."""
     mu = [0] * (n + 1)
-    mu[1] = 1
-    least = [0] * (n + 1)
-    primes = []
-    for i in range(2, n + 1):
-        if least[i] == 0:
-            least[i] = i
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if p > least[i] or i * p > n:
-                break
-            least[i * p] = p
-            mu[i * p] = 0 if i % p == 0 else -mu[i]
+    if n >= 1:
+        mu[1] = 1
+    for d in range(1, n // 2 + 1):
+        for m in range(2 * d, n + 1, d):
+            mu[m] -= mu[d]
     return mu

@@ -179,7 +179,7 @@ def test_modular_kernel_equals_fraction_oracles_to_60():
 
 def test_modulus_is_the_least_power_of_the_least_prime_above_the_order():
     for order, prime in ((0, 2), (1, 2), (2, 3), (4, 5), (7, 11), (500, 503)):
-        bound = counting._bounds(counting._fixed_points(1, order, False))[-1] + 1
+        bound = counting._bounds(order, False)[-1] + 1
         modulus = counting._modulus(order, bound)
         assert modulus > bound << 64
         assert modulus % prime == 0 and modulus // prime <= bound << 64
@@ -190,12 +190,12 @@ def test_modulus_is_the_least_power_of_the_least_prime_above_the_order():
 
 def test_bounds_are_labeled_pairs_over_factorials():
     # h_n/(n-1)! with h_n = I_2(n)·I_3(n): 1, 2, 4·3/2, 10·9/6, 26·21/24
-    assert counting._bounds(counting._fixed_points(1, 5, False)) == [0, 1, 2, 6, 15, 22]
-    assert counting._bounds(counting._fixed_points(1, 5, True)) == [0, 1, 4, 12, 40, 130]
+    assert counting._bounds(5, False) == [0, 1, 2, 6, 15, 22]
+    assert counting._bounds(5, True) == [0, 1, 4, 12, 40, 130]
     for general in (False, True):
         counts = (subgroup_series(40, general).integer_coefficients(),
                   conjugacy_class_series(40, general).integer_coefficients())
-        bounds = counting._bounds(counting._fixed_points(1, 40, general))
+        bounds = counting._bounds(40, general)
         assert all(c <= b for series in counts for c, b in zip(series, bounds))
 
 

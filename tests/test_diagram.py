@@ -73,6 +73,19 @@ def test_rejects_non_permutations():
         Diagram([], [])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Diagram(["1", "0"], [1.9, 0]), "rot has a non-integer entry"),
+    (lambda: Diagram([0.7], [False]), "rot has a non-integer entry"),
+    (lambda: Diagram([True, 0], [1, 0]), "rot has a non-integer entry"),
+    (lambda: INDEX2.relabel([1.0, 0.2]), "perm has a non-integer entry"),
+    (lambda: PointedDiagram(INDEX2, 0.5), "base is not an integer: 0.5"),
+], ids=["strings-and-float", "float-and-bool", "bool", "relabel-floats", "float-base"])
+def test_rejects_non_integer_entries(build, message):
+    # entries are never truncated: 1.9 is not arc 1, True is not arc 1
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build()
+
+
 def test_rejects_non_involution():
     with pytest.raises(ValueError):
         Diagram([0, 1, 2], [1, 2, 0])
@@ -354,6 +367,11 @@ def test_text_roundtrip():
     p = pointed(NORMAL6_B, 4)
     parsed, base = parse_diagram_text(p.to_text())
     assert parsed == NORMAL6_B and base == 4
+
+
+def test_text_skips_empty_segments():
+    for text in ("n=1; rot=[0]; inv=[0];", "n=1;; rot=[0]; inv=[0]"):
+        assert parse_diagram_text(text) == (TERMINAL, None)
 
 
 def test_text_whitespace_insensitive():

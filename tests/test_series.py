@@ -188,5 +188,7 @@ def test_divisor_sum_identities():
 
 
 def test_sieve_matches_pointwise():
-    mu = moebius_sieve(500)
-    assert all(mu[n] == moebius_mu(n) for n in range(1, 501))
+    mu = moebius_sieve(2000)
+    assert all(mu[n] == moebius_mu(n) for n in range(1, 2001))
+    assert moebius_sieve(0) == [0]
+    assert moebius_sieve(1) == [0, 1]
