@@ -26,16 +26,17 @@ from . import census as census_mod
 from . import counting
 from .diagram import (
     DiagramParseError,
-    PointedDiagram,
+    _check_connected,
+    _close,
+    _parse_arrays,
     barycentric_graph,
     canonical_code,
     normality_conflict,
     parse_diagram_text,
-    pointed_morphism,
-    pointed_morphism_conflict,
 )
 # unused here, but `perfbench/spans.py` wraps them by name in this module
 from .diagram import automorphism_order, is_normal  # noqa: F401
+from .diagram import pointed_morphism, pointed_morphism_conflict  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,23 +199,34 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _read_diagram_file(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _in_file(path: str, check, *args):
+    """check(*args), reporting its parse error as an input error of `path`."""
     try:
-        return parse_diagram_text(text)
+        return check(*args)
     except DiagramParseError as exc:
         raise InputError("%s: %s" % (path, exc)) from None
 
 
-def _pointed(path: str) -> PointedDiagram:
-    d, base = _read_diagram_file(path)
-    if base is None:
+def _read_diagram_file(path: str):
+    return _in_file(path, parse_diagram_text, _read_text(path))
+
+
+def _pointed_arrays(path: str):
+    """The checked arrays and base of a pointed diagram file; its
+    connectivity is still unproven."""
+    arrays = _in_file(path, _parse_arrays, _read_text(path))
+    if arrays.base is None:
+        _in_file(path, _check_connected, arrays)
         raise InputError("%s: this relation needs a base arc (add '; base=K')" % path)
-    return PointedDiagram(d, base)
+    return arrays
 
 
 def _conflict_payload(conflict) -> dict:
@@ -230,14 +242,34 @@ def _conflict_payload(conflict) -> dict:
 
 def _decide_pointed(files, same_size: bool):
     """`included` (a pointed map from the first file to the second) or, with
-    `same_size`, `isomorphic` (such a map between equal arc counts)."""
-    p1, p2 = _pointed(files[0]), _pointed(files[1])
-    if same_size and p1.diagram.n != p2.diagram.n:
-        return False, {"sizes": [p1.diagram.n, p2.diagram.n]}
-    mapping = pointed_morphism(p1, p2)
-    if mapping is not None:
+    `same_size`, `isomorphic` (such a map between equal arc counts).
+
+    One closure both decides the relation and proves the two files
+    connected: a map that assigns every source arc shows the source is, and
+    an image of every target arc (the orbit of the target base) shows the
+    target is.  Every other outcome first checks connectivity, file 1
+    before file 2, so a disconnected file is reported as the full parse
+    reports it, and no `Diagram` is built."""
+    one = _pointed_arrays(files[0])
+    try:
+        two = _pointed_arrays(files[1])
+    except InputError:
+        _in_file(files[0], _check_connected, one)
+        raise
+
+    def check_both_connected():
+        _in_file(files[0], _check_connected, one)
+        _in_file(files[1], _check_connected, two)
+
+    n1, n2 = len(one.rot), len(two.rot)
+    if same_size and n1 != n2:
+        check_both_connected()
+        return False, {"sizes": [n1, n2]}
+    mapping, conflict = _close(one, one.base, two, two.base)
+    if conflict is None and -1 not in mapping and len(set(mapping)) == n2:
         return True, {"map": list(mapping)}
-    return False, {"critical_pair": _conflict_payload(pointed_morphism_conflict(p1, p2))}
+    check_both_connected()  # then the closure met a conflict
+    return False, {"critical_pair": _conflict_payload(conflict)}
 
 
 def _decide_conjugate(files):

@@ -16,7 +16,10 @@ decision procedures that make those classifications effective:
 
 - inclusion as a base-point-preserving equivariant map (between equal arc
   counts, a pointed isomorphism), decided by closing the pair (base, base')
-  under both generators and watching for conflicts;
+  under both generators and watching for conflicts; the closure assigns the
+  orbit of base onto the orbit of base', so on two parsed files one closure
+  that assigns every source arc and reaches every target arc also proves
+  both connected;
 - conjugacy as isomorphism, decided by equal canonical codes;
 - normality as arc-transitivity of the automorphism group.
 
@@ -69,6 +72,20 @@ def _check_permutation(name: str, images, n: Optional[int] = None) -> tuple:
     return images
 
 
+def _check_arrays(rot, inv) -> tuple:
+    """(rot, inv) as tuples, after every check of `Diagram` but connectivity:
+    both permutations of the same n >= 1 arcs, inv an involution."""
+    rot = _check_permutation("rot", rot)
+    n = len(rot)
+    if n < 1:
+        raise ValueError("a diagram needs at least one arc")
+    inv = _check_permutation("inv", inv, n)
+    for a in range(n):
+        if inv[inv[a]] != a:
+            raise ValueError("inv is not an involution (at arc %d)" % a)
+    return rot, inv
+
+
 def _transitive(rot, inv) -> bool:
     """True iff the permutations rot and inv of arcs 0..n-1 act transitively."""
     seen = bytearray(len(rot))
@@ -94,17 +111,10 @@ class Diagram:
     __slots__ = ("n", "rot", "inv")
 
     def __init__(self, rot, inv):
-        rot = _check_permutation("rot", rot)
-        n = len(rot)
-        if n < 1:
-            raise ValueError("a diagram needs at least one arc")
-        inv = _check_permutation("inv", inv, n)
-        for a in range(n):
-            if inv[inv[a]] != a:
-                raise ValueError("inv is not an involution (at arc %d)" % a)
+        rot, inv = _check_arrays(rot, inv)
         if not _transitive(rot, inv):
             raise ValueError("diagram is not connected")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(rot))
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "inv", inv)
 
@@ -190,24 +200,43 @@ class DiagramParseError(ValueError):
         self.column = column
 
 
-def parse_diagram_text(text: str):
-    """Parse the normative text format.
+class _Arrays(NamedTuple):
+    """A parsed diagram file whose connectivity is not yet known: the
+    checked permutation tuples, the base (None when absent) and the line and
+    column of the `rot` field, where a connectivity error points."""
 
-    ``n=<int>; rot=[i0,...]; inv=[j0,...]`` with an optional ``; base=<int>``;
-    every integer is a JSON integer (no sign but ``-``, no leading zero, no
-    ``_``, ASCII digits only) and whitespace is insignificant everywhere.
-    Returns (Diagram, base or None).
-    """
+    rot: tuple
+    inv: tuple
+    base: Optional[int]
+    line: int
+    column: int
 
-    def error(message, offset):
-        # messages echo the input, so a long one is cut; the position is
-        # that of the first non-space character at or after offset
-        if len(message) > 160:
-            message = message[:150] + "..."
+
+def _check_connected(arrays: _Arrays) -> None:
+    """Raise the parse error of a disconnected diagram unless `arrays` act
+    transitively."""
+    if not _transitive(arrays.rot, arrays.inv):
+        raise DiagramParseError("diagram is not connected", arrays.line, arrays.column)
+
+
+def _parse_arrays(text: str) -> _Arrays:
+    """Every check of `parse_diagram_text` but connectivity, which the
+    caller owes before it builds a `Diagram` from the arrays (a base out of
+    range is reported only after it, as the full parse does)."""
+
+    def position(offset):
+        # 1-based line and column of the first non-space character at or
+        # after offset
         while offset < len(text) and text[offset].isspace():
             offset += 1
         prefix = text[:offset]
-        return DiagramParseError(message, prefix.count("\n") + 1, offset - prefix.rfind("\n"))
+        return prefix.count("\n") + 1, offset - prefix.rfind("\n")
+
+    def error(message, offset):
+        # messages echo the input, so a long one is cut
+        if len(message) > 160:
+            message = message[:150] + "..."
+        return DiagramParseError(message, *position(offset))
 
     fields = {}
     offset = 0
@@ -262,12 +291,27 @@ def parse_diagram_text(text: str):
         raise error("n=%d but rot has %d entries and inv has %d" % (n, len(rot), len(inv)),
                     fields["n"][1])
     try:
-        diagram = Diagram(rot, inv)
+        rot, inv = _check_arrays(rot, inv)
     except ValueError as exc:
         raise error(str(exc), fields["rot"][1]) from None
+    arrays = _Arrays(rot, inv, base, *position(fields["rot"][1]))
     if base is not None and not 0 <= base < n:
+        _check_connected(arrays)
         raise error("base=%d out of range 0..%d" % (base, n - 1), fields["base"][1])
-    return diagram, base
+    return arrays
+
+
+def parse_diagram_text(text: str):
+    """Parse the normative text format.
+
+    ``n=<int>; rot=[i0,...]; inv=[j0,...]`` with an optional ``; base=<int>``;
+    every integer is a JSON integer (no sign but ``-``, no leading zero, no
+    ``_``, ASCII digits only) and whitespace is insignificant everywhere.
+    Returns (Diagram, base or None).
+    """
+    arrays = _parse_arrays(text)
+    _check_connected(arrays)
+    return _trusted_diagram(arrays.rot, arrays.inv), arrays.base
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +337,16 @@ class MorphismConflict(NamedTuple):
 def _close(src: Diagram, a: int, dst: Diagram, b: int):
     """Close (a, b) under both generators.
 
-    Returns (mapping, None) when a full equivariant map exists, else
-    (None, MorphismConflict).  Touches each src arc a bounded number of
-    times, so it runs in O(src.n) generator applications.
+    Returns (mapping, None) when no conflict arises, else
+    (None, MorphismConflict).  The mapping assigns exactly the orbit of a
+    (its other entries are -1) and its image is the orbit of b, so between
+    `Diagram`s it is a full equivariant map; src and dst may also be the
+    `_Arrays` of a parse, whose connectivity the mapping can then prove.
+    Touches each src arc a bounded number of times, so it runs in
+    O(src.n) generator applications.
     """
     src_rot, src_inv, dst_rot, dst_inv = src.rot, src.inv, dst.rot, dst.inv
-    m = [-1] * src.n
+    m = [-1] * len(src_rot)
     m[a] = b
     queue = [a]  # breadth-first: the list grows while it is walked
     append = queue.append

@@ -4,8 +4,9 @@ Re-derives small and large values through independent routes and compares
 them: brute-force enumeration against formulas, the census's canonical
 augmentation against a dictionary of canonical codes, dense against
 separable pipelines, the modular counts against their `Fraction` routes,
-recurrence against closed form, and everything against the frozen reference
-sequences.
+recurrence against closed form, the CLI's pointed decisions against every
+map between small diagram files, and everything against the frozen
+reference sequences.
 `quick` stays at truncation order 20 (60 for modular against `Fraction`) and
 census size 8; `full` pushes to order 50, census size 9, the index-500
 values and modular against `Fraction` at order 500.
@@ -17,12 +18,17 @@ its own seeds and bounds.  A check raises `SelfTestFailure` on a mismatch.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction
 
-from . import census, counting, diagram, reference
+from . import census, cli, counting, diagram, reference
 from .cycleindex import count_commuting_order_p, cycle_types, cycle_types_up_to
 from .series import (TruncSeries, _power_sum, euler_transform, inverse_euler_transform,
                      moebius_mu, moebius_sieve)
@@ -454,6 +460,178 @@ def check_automorphism_orbits(diagrams):
                   % (found, unreachable[:1], d.n))
 
 
+def random_arrays(rng, n):
+    """A random (rot, inv) pair of lists on n arcs: rot any permutation, inv
+    an involution with a random number of fixed arcs; connected every other
+    time (the draw is repeated until it is), else connected or not."""
+    connected = rng.random() < 0.5
+    while True:
+        rot = rng.sample(range(n), n)
+        arcs = rng.sample(range(n), n)
+        inv = list(range(n))
+        for i in range(0, 2 * rng.randrange(n // 2 + 1), 2):
+            a, b = arcs[i], arcs[i + 1]
+            inv[a], inv[b] = b, a
+        if not connected or diagram._transitive(rot, inv):
+            return rot, inv
+
+
+def _disjoint_union(first, second):
+    """The (rot, inv) lists of two diagrams side by side, the second's arcs
+    numbered after the first's."""
+    shift = len(first[0])
+    return tuple(f + [x + shift for x in g] for f, g in zip(first, second))
+
+
+def random_pointed_pair(rng, max_arcs):
+    """A source (rot, inv, base) and a target (rot, inv, base) of at most
+    max_arcs arcs each, either of them possibly a disjoint union.  The
+    source is unrelated to the target, or a randomly relabeled cover of it
+    (one sheet: a copy), plus possibly a further component; then three
+    times in four the target base is the image of the source base."""
+    rot2, inv2 = random_arrays(rng, rng.randrange(1, max_arcs + 1))
+    if len(rot2) < max_arcs and rng.random() < 0.3:  # a disconnected target
+        rot2, inv2 = _disjoint_union((rot2, inv2), random_arrays(
+            rng, rng.randrange(1, max_arcs - len(rot2) + 1)))
+    n2 = len(rot2)
+    base2 = rng.randrange(n2)
+    if rng.random() < 0.3:
+        rot1, inv1 = random_arrays(rng, rng.randrange(1, max_arcs + 1))
+        return (rot1, inv1, rng.randrange(len(rot1))), (rot2, inv2, base2)
+    # arc a*sheets + i is arc a on sheet i; inv lifts through a random sheet
+    # permutation per edge and its inverse, the identity on a folded edge
+    sheets = rng.randrange(1, max_arcs // n2 + 1)
+    lift = [None] * n2
+    for a in range(n2):
+        if lift[a] is None:
+            perm = rng.sample(range(sheets), sheets) if inv2[a] != a else list(range(sheets))
+            lift[a] = perm
+            lift[inv2[a]] = [perm.index(i) for i in range(sheets)]
+    rot1 = [rot2[a] * sheets + i for a in range(n2) for i in range(sheets)]
+    inv1 = [inv2[a] * sheets + lift[a][i] for a in range(n2) for i in range(sheets)]
+    cover = [a for a in range(n2) for _ in range(sheets)]  # the covering map
+    room = max_arcs - len(rot1)
+    if room and rng.random() < 0.3:  # a further component
+        rot1, inv1 = _disjoint_union((rot1, inv1), random_arrays(rng, rng.randrange(1, room + 1)))
+        cover += [None] * (len(rot1) - len(cover))
+    n1 = len(rot1)
+    perm = rng.sample(range(n1), n1)  # arc x becomes perm[x]
+    relabeled = [0] * n1, [0] * n1, [None] * n1
+    for x in range(n1):
+        relabeled[0][perm[x]] = perm[rot1[x]]
+        relabeled[1][perm[x]] = perm[inv1[x]]
+        relabeled[2][perm[x]] = cover[x]
+    rot1, inv1, cover = relabeled
+    base1 = rng.randrange(n1)
+    if cover[base1] is not None and rng.random() < 0.75:
+        base2 = cover[base1]
+    return (rot1, inv1, base1), (rot2, inv2, base2)
+
+
+def brute_pointed_maps(src, dst):
+    """Every map of the source arcs to the target arcs that sends base to
+    base and commutes with rot and inv, found by trying all n2^(n1-1) maps
+    that send base to base."""
+    (rot1, inv1, a), (rot2, inv2, b) = src, dst
+    arcs = range(len(rot1))
+    choices = [(b,) if x == a else range(len(rot2)) for x in arcs]
+    return [m for m in itertools.product(*choices)
+            if all(m[rot1[x]] == rot2[m[x]] and m[inv1[x]] == inv2[m[x]] for x in arcs)]
+
+
+def refutes(pair, src, dst):
+    """True iff the critical pair `pair` (the CLI's witness fields) proves
+    that no pointed map src -> dst exists: its partial map sends base to
+    base, every arc it assigns is reached from the base by generator steps
+    that it respects, and the named step leaves an assigned arc for an image
+    other than the one already assigned."""
+    (rot1, inv1, a), (rot2, inv2, b) = src, dst
+    steps = {"rot": (rot1, rot2), "inv": (inv1, inv2)}
+    m = pair["partial_map"]
+    if len(m) != len(rot1) or m[a] != b or not all(-1 <= y < len(rot2) for y in m) \
+            or pair["generator"] not in steps:
+        return False
+    reached, stack = {a}, [a]
+    while stack:
+        x = stack.pop()
+        for g1, g2 in steps.values():
+            y = g1[x]
+            if y not in reached and m[y] == g2[m[x]]:
+                reached.add(y)
+                stack.append(y)
+    if any(y >= 0 and x not in reached for x, y in enumerate(m)):
+        return False
+    g1, g2 = steps[pair["generator"]]
+    x, y = pair["arc"], pair["target_arc"]
+    return (x in reached and g1[x] == y and y in reached
+            and m[y] == pair["existing_image"]
+            and g2[m[x]] == pair["required_image"] != pair["existing_image"])
+
+
+def check_pointed_relations(rng, cases, max_arcs=6):
+    """`decide included|isomorphic` against brute force on `cases` random
+    pairs of at most max_arcs arcs, connected or not: the exit code and
+    the error line (a disconnected file, as `_transitive` finds it, file 1
+    first), the size answer of `isomorphic`, the map when one exists (all
+    maps tried), or else a critical pair that refutes every map.  Between
+    connected files `pointed_morphism` and `pointed_morphism_conflict` must
+    agree."""
+    with tempfile.TemporaryDirectory() as directory:
+        for case in range(cases):
+            pair = random_pointed_pair(rng, max_arcs)
+            paths, texts = [], []
+            for name, (rot, inv, base) in zip(("one", "two"), pair):
+                texts.append("n=%d; rot=%s; inv=%s; base=%d"
+                             % (len(rot), json.dumps(rot), json.dumps(inv), base))
+                paths.append(os.path.join(directory, name + ".diag"))
+                with open(paths[-1], "w", encoding="utf-8") as handle:
+                    handle.write(texts[-1])
+            connected = [diagram._transitive(rot, inv) for rot, inv, _ in pair]
+            maps = brute_pointed_maps(*pair) if all(connected) else None
+            if maps is not None and len(maps) > 1:
+                _fail("pointed-relations", "case %d: %d maps from a connected source"
+                      % (case, len(maps)))
+            for relation in ("included", "isomorphic"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["decide", relation] + paths)
+                got = (code, out.getvalue(), err.getvalue())
+                if not all(connected):
+                    i = connected.index(False)
+                    expected = (cli.EXIT_INPUT, "", "error: %s: diagram is not connected "
+                                "(line 1, column %d)\n" % (paths[i], texts[i].index("rot") + 1))
+                    ok = got == expected
+                elif code != cli.EXIT_OK or got[2]:
+                    ok = False
+                else:
+                    payload = json.loads(got[1])
+                    witness = payload["witness"]
+                    sizes = [len(pair[0][0]), len(pair[1][0])]
+                    if relation == "isomorphic" and sizes[0] != sizes[1]:
+                        ok = payload["result"] is False and witness == {"sizes": sizes}
+                    elif maps:
+                        ok = payload["result"] is True and witness == {"map": list(maps[0])}
+                    else:
+                        ok = (payload["result"] is False and list(witness) == ["critical_pair"]
+                              and refutes(witness["critical_pair"], *pair))
+                if not ok:
+                    _fail("pointed-relations", "case %d, %s %r -> %r: got %r"
+                          % (case, relation, texts[0], texts[1], got))
+            if maps is None:
+                continue
+            src, dst = (diagram.PointedDiagram(diagram.Diagram(rot, inv), base)
+                        for rot, inv, base in pair)
+            m = diagram.pointed_morphism(src, dst)
+            conflict = diagram.pointed_morphism_conflict(src, dst)
+            if maps:
+                ok = m == maps[0] and conflict is None
+            else:
+                ok = m is None and refutes(cli._conflict_payload(conflict), *pair)
+            if not ok:
+                _fail("pointed-relations", "case %d, %r -> %r: pointed_morphism %r"
+                      % (case, texts[0], texts[1], m))
+
+
 def check_integrality(order):
     """Every type-series coefficient, both flavors, is a nonnegative integer."""
     for general in (False, True):
@@ -496,6 +674,7 @@ def run_selftest(full: bool) -> bool:
         ("commuting-counts-weight-5", lambda: check_commuting_counts(5)),
         ("canonical-codes", lambda: check_canonical_codes(random.Random(1729), (5, 6, 7), 5)),
         ("canonical-search", lambda: check_canonical_search(random.Random(4181), (12, 60, 240, 600), 1)),
+        ("pointed-relations", lambda: check_pointed_relations(random.Random(8891), 80)),
         ("automorphism-orbits", lambda: check_automorphism_orbits(
             list(census.enumerate_size(7).class_representatives)
             + [psl2_regular(5), random_cover(psl2_regular(5), 2, random.Random(6765)),

@@ -457,6 +457,138 @@ def test_decide_requires_base_for_pointed_relations(tmp_path, capsys):
     assert "base" in err
 
 
+# One fault per file for the pointed relations: the file text (None: the
+# file does not exist) and the stderr line it gives, exit code 3.  A file
+# with several faults reports the first that the full parse meets:
+# structure, then connectivity, then the base.
+NOT_CONNECTED = "{path}: diagram is not connected (line 1, column 6)"
+POINTED_FAULTS = {
+    "fine": (INDEX2_TEXT, None),
+    "disconnected": ("n=2; rot=[0,1]; inv=[0,1]; base=0", NOT_CONNECTED),
+    "missing-base": ("n=2; rot=[0,1]; inv=[1,0]",
+                     "{path}: this relation needs a base arc (add '; base=K')"),
+    "unreadable": (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "malformed": ("n=2; rot=[0,x]; inv=[1,0]; base=0",
+                  "{path}: field 'rot' has a non-integer entry (line 1, column 6)"),
+}
+# faults tried with a fine partner only: the base range, and two faults in
+# one file
+MORE_FAULTS = {
+    "base-out-of-range": ("n=2; rot=[0,1]; inv=[1,0]; base=2",
+                          "{path}: base=2 out of range 0..1 (line 1, column 28)"),
+    "disconnected-missing-base": ("n=2; rot=[0,1]; inv=[0,1]", NOT_CONNECTED),
+    "disconnected-base-out-of-range": ("n=2; rot=[0,1]; inv=[0,1]; base=2", NOT_CONNECTED),
+    "not-a-permutation-disconnected": ("n=2; rot=[0,0]; inv=[0,1]; base=0",
+                                       "{path}: rot is not a permutation: image 0 repeated "
+                                       "(line 1, column 6)"),
+}
+
+
+def _decide_faulty(tmp_path, capsys, relation, first, second):
+    """Run `decide relation` on two files with the given (text, message)
+    faults; returns (exit code, stdout, stderr, expected stderr or None)."""
+    paths, expected = [], None
+    for name, (text, message) in (("one", first), ("two", second)):
+        path = str(tmp_path / (name + ".diag"))
+        if text is not None:
+            write(tmp_path, name + ".diag", text)
+        if message is not None and expected is None:  # file 1's fault comes first
+            expected = "error: %s\n" % message.format(path=path)
+        paths.append(path)
+    code, out, err = run(capsys, "decide", relation, *paths)
+    return code, out, err, expected
+
+
+@pytest.mark.parametrize("relation", ["included", "isomorphic"])
+@pytest.mark.parametrize("fault1", sorted(POINTED_FAULTS))
+@pytest.mark.parametrize("fault2", sorted(POINTED_FAULTS))
+def test_pointed_relation_error_precedence(tmp_path, capsys, relation, fault1, fault2):
+    code, out, err, expected = _decide_faulty(
+        tmp_path, capsys, relation, POINTED_FAULTS[fault1], POINTED_FAULTS[fault2])
+    if expected is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"relation": relation, "result": True,
+                                   "witness": {"map": [0, 1]}}
+    else:
+        assert (code, out, err) == (cli.EXIT_INPUT, "", expected)
+
+
+@pytest.mark.parametrize("relation", ["included", "isomorphic"])
+@pytest.mark.parametrize("fault", sorted(MORE_FAULTS))
+@pytest.mark.parametrize("slot", [0, 1])
+def test_pointed_relation_fault_within_one_file(tmp_path, capsys, relation, fault, slot):
+    files = [POINTED_FAULTS["fine"], POINTED_FAULTS["fine"]]
+    files[slot] = MORE_FAULTS[fault]
+    code, out, err, expected = _decide_faulty(tmp_path, capsys, relation, *files)
+    assert (code, out, err) == (cli.EXIT_INPUT, "", expected)
+
+
+DISCONNECTED3 = "n=3; rot=[0,1,2]; inv=[1,0,2]; base=0"  # components {0, 1} and {2}
+# (id, relation, file 1, file 2, exit code, stdout payload or stderr line):
+# the faults that only the closure meets, and the size test of `isomorphic`
+POINTED_OUTCOMES = [
+    ("source-maps-cleanly", "included", DISCONNECTED3, INDEX2_TEXT, 3,
+     "{one}: diagram is not connected (line 1, column 6)"),
+    ("image-misses-arc-2", "included", INDEX2_TEXT, DISCONNECTED3, 3,
+     "{two}: diagram is not connected (line 1, column 6)"),
+    ("image-misses-arcs-1-2", "isomorphic", "n=3; rot=[1,2,0]; inv=[0,1,2]; base=0",
+     "n=3; rot=[0,1,2]; inv=[0,2,1]; base=0", 3,
+     "{two}: diagram is not connected (line 1, column 6)"),
+    ("both-disconnected", "included", DISCONNECTED3, DISCONNECTED3, 3,
+     "{one}: diagram is not connected (line 1, column 6)"),
+    ("source-conflicts", "included", "n=3; rot=[0,1,2]; inv=[0,2,1]; base=0", INDEX2_TEXT, 3,
+     "{one}: diagram is not connected (line 1, column 6)"),
+    ("sizes", "isomorphic", SIZE5_A, INDEX2_TEXT, 0,
+     {"relation": "isomorphic", "result": False, "witness": {"sizes": [5, 2]}}),
+    ("sizes-target-disconnected", "isomorphic", SIZE5_A, DISCONNECTED3, 3,
+     "{two}: diagram is not connected (line 1, column 6)"),
+    ("sizes-source-disconnected", "isomorphic", DISCONNECTED3, SIZE5_A, 3,
+     "{one}: diagram is not connected (line 1, column 6)"),
+    ("conflict", "included", TERMINAL_TEXT, INDEX2_TEXT, 0,
+     {"relation": "included", "result": False, "witness": {"critical_pair": {
+         "arc": 0, "generator": "inv", "target_arc": 0, "existing_image": 0,
+         "required_image": 1, "partial_map": [0]}}}),
+]
+
+
+@pytest.mark.parametrize("relation, text1, text2, exit_code, expected",
+                         [pytest.param(*row[1:], id=row[0]) for row in POINTED_OUTCOMES])
+def test_pointed_relation_outcomes(tmp_path, capsys, relation, text1, text2, exit_code,
+                                   expected):
+    one, two = write(tmp_path, "one.diag", text1), write(tmp_path, "two.diag", text2)
+    code, out, err = run(capsys, "decide", relation, one, two)
+    if exit_code == 0:
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+    else:
+        assert (code, out, err) == (exit_code, "", "error: %s\n"
+                                    % expected.format(one=one, two=two))
+
+
+def test_pointed_relations_match_brute_force():
+    # the selftest oracle with its own seed: random files of up to 6 arcs,
+    # connected or not, against every map and `_transitive` on each file
+    from trivalent import selftest
+
+    selftest.check_pointed_relations(random.Random(1597), 250)
+
+
+def test_refutes_accepts_only_a_real_critical_pair():
+    from trivalent import selftest
+
+    src, dst = ([0], [0], 0), ([0, 1], [1, 0], 0)
+    pair = {"arc": 0, "generator": "inv", "target_arc": 0, "existing_image": 0,
+            "required_image": 1, "partial_map": [0]}
+    assert selftest.refutes(pair, src, dst)
+    for key, value in [("required_image", 0), ("generator", "rot"), ("partial_map", [1]),
+                       ("existing_image", 1)]:
+        assert not selftest.refutes(dict(pair, **{key: value}), src, dst)
+    # an assignment that no respected step reaches proves nothing
+    src3 = ([0, 1], [0, 1], 0)
+    pair3 = dict(pair, partial_map=[0, 1])
+    assert not selftest.refutes(pair3, src3, dst)
+
+
 def test_decide_arity_checked(tmp_path, capsys):
     path = write(tmp_path, "a.diag", INDEX2_TEXT)
     code, _, err = run(capsys, "decide", "normal", path, path)
