@@ -322,15 +322,16 @@ class MorphismConflict(NamedTuple):
     """Evidence that no pointed morphism exists.
 
     Applying `generator` to `arc` forces the image of `target_arc` to be
-    `required`, but the closure had already fixed it to `existing`.  Together
-    with the partial map this is checkable directly against the two inputs.
+    `required_image`, but the closure had already fixed it to `existing_image`.
+    Together with the partial map this is checkable directly against the two
+    inputs; `_asdict()` is the CLI's `critical_pair` payload.
     """
 
     arc: int
     generator: str
     target_arc: int
-    existing: int
-    required: int
+    existing_image: int
+    required_image: int
     partial_map: tuple
 
 

@@ -78,6 +78,23 @@ def test_count_bad_max(capsys):
     assert "max" in err
 
 
+@pytest.mark.parametrize("n", [cli.MAX_COUNT_INDEX + 1, 10**20])
+def test_count_max_above_cap_exits_2_before_any_work(monkeypatch, capsys, n):
+    # 10**20 would overflow inside cycleindex, and a large N that fits would
+    # run for hours: both must be refused before the series layer is
+    # touched.  The cap still admits the general digit crossing at 2833.
+    assert cli.MAX_COUNT_INDEX >= 3000
+
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError("counting.%s reached with --max %d" % (name, n))
+
+    monkeypatch.setattr(cli, "counting", Unreachable())
+    code, out, err = run(capsys, "count", "pointed", "--max", str(n))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --max must be in 1..%d, got %d\n" % (cli.MAX_COUNT_INDEX, n)
+
+
 def test_internal_value_error_exits_4(monkeypatch, capsys):
     # a non-integral coefficient is an invariant failure, not bad user input
     from fractions import Fraction

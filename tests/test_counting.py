@@ -1,6 +1,5 @@
 """Tests for the generating-series pipelines."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -20,8 +19,8 @@ from trivalent.reference import (
     SUBGROUPS_BY_INDEX,
 )
 from trivalent import counting
-from trivalent.selftest import (check_column_normalisation, check_integrality,
-                                check_modular_vs_fraction)
+from trivalent.selftest import (brute_commuting, check_column_normalisation,
+                                check_integrality, check_modular_vs_fraction)
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -38,25 +37,18 @@ def test_disconnected_egf_first_values():
 
 
 def test_disconnected_egf_against_brute_force_pairs():
-    # a*_n = (number of pairs (involution, order-dividing-3 permutation))/n!
+    # a*_n = (number of pairs (involution, order-dividing-3 permutation))/n!;
+    # the two are independent, so the count is the product of the brute-force
+    # counts of tau^p = id (tau commuting with the identity of n points)
     for n in range(7):
-        count = 0
-        for p in itertools.permutations(range(n)):
-            if not all(p[p[i]] == i for i in range(n)):
-                continue
-            for q in itertools.permutations(range(n)):
-                if all(q[q[q[i]]] == i for i in range(n)):
-                    count += 1
-        assert disconnected_egf(6 if n <= 6 else n)[n] == Q(count, math.factorial(n))
+        count = brute_commuting(2, ((1, n),)) * brute_commuting(3, ((1, n),))
+        assert disconnected_egf(6)[n] == Q(count, math.factorial(n))
 
 
 def test_general_disconnected_egf_against_brute_force_pairs():
     # general flavor: the second permutation is unconstrained
     for n in range(6):
-        count = 0
-        for p in itertools.permutations(range(n)):
-            if all(p[p[i]] == i for i in range(n)):
-                count += math.factorial(n)
+        count = brute_commuting(2, ((1, n),)) * math.factorial(n)
         assert disconnected_egf(5, general=True)[n] == Q(count, math.factorial(n))
 
 

@@ -39,21 +39,6 @@ def pointed(d, base=0):
     return PointedDiagram(d, base)
 
 
-def brute_force_morphism_exists(src, base_src, dst, base_dst):
-    """Oracle: search all base-point-preserving equivariant maps directly."""
-    n, m = src.n, dst.n
-    for images in itertools.product(range(m), repeat=n):
-        if images[base_src] != base_dst:
-            continue
-        if all(
-            images[src.rot[a]] == dst.rot[images[a]]
-            and images[src.inv[a]] == dst.inv[images[a]]
-            for a in range(n)
-        ):
-            return True
-    return False
-
-
 # --- construction -------------------------------------------------------------
 
 
@@ -143,18 +128,20 @@ def test_everything_maps_to_terminal():
 
 def test_terminal_does_not_map_to_index2():
     assert pointed_morphism(pointed(TERMINAL), pointed(INDEX2)) is None
-    assert not brute_force_morphism_exists(TERMINAL, 0, INDEX2, 0)
+    assert selftest.brute_pointed_maps((TERMINAL.rot, TERMINAL.inv, 0),
+                                       (INDEX2.rot, INDEX2.inv, 0)) == []
     conflict = pointed_morphism_conflict(pointed(TERMINAL), pointed(INDEX2))
     assert isinstance(conflict, MorphismConflict)
     # the conflict re-checks against the inputs: applying the generator to
-    # the arc maps target_arc to `required`, but the map had `existing`
+    # the arc maps target_arc to `required_image`, but the map had
+    # `existing_image`
     gen = {"rot": (TERMINAL.rot, INDEX2.rot), "inv": (TERMINAL.inv, INDEX2.inv)}
     g_src, g_dst = gen[conflict.generator]
     m = conflict.partial_map
     assert g_src[conflict.arc] == conflict.target_arc
-    assert m[conflict.target_arc] == conflict.existing
-    assert g_dst[m[conflict.arc]] == conflict.required
-    assert conflict.existing != conflict.required
+    assert m[conflict.target_arc] == conflict.existing_image
+    assert g_dst[m[conflict.arc]] == conflict.required_image
+    assert conflict.existing_image != conflict.required_image
 
 
 def test_identity_morphism():
@@ -168,13 +155,13 @@ def test_morphism_matches_brute_force_on_small_pairs():
         for d2 in diagrams:
             for b1 in range(d1.n):
                 for b2 in range(d2.n):
+                    # every map, exhaustively: at most one from a connected
+                    # source, and the closure must find exactly that one
+                    maps = selftest.brute_pointed_maps((d1.rot, d1.inv, b1),
+                                                       (d2.rot, d2.inv, b2))
+                    assert len(maps) <= 1
                     m = pointed_morphism(pointed(d1, b1), pointed(d2, b2))
-                    assert (m is not None) == brute_force_morphism_exists(d1, b1, d2, b2)
-                    if m is not None:
-                        assert m[b1] == b2
-                        for a in range(d1.n):  # closure soundness, exhaustively
-                            assert m[d1.rot[a]] == d2.rot[m[a]]
-                            assert m[d1.inv[a]] == d2.inv[m[a]]
+                    assert m == (maps[0] if maps else None)
 
 
 def test_morphism_is_equivariant_when_found():
@@ -225,8 +212,10 @@ def test_level2_subgroup_inside_index2():
     # The index-2 diagram is normal, so both its pointings fix the same
     # subgroup and both admit the inclusion morphism.
     for b in range(2):
-        assert pointed_morphism(pointed(NORMAL6_A, 0), pointed(INDEX2, b)) is not None
-        assert brute_force_morphism_exists(NORMAL6_A, 0, INDEX2, b)
+        m = pointed_morphism(pointed(NORMAL6_A, 0), pointed(INDEX2, b))
+        assert m is not None
+        assert selftest.brute_pointed_maps((NORMAL6_A.rot, NORMAL6_A.inv, 0),
+                                           (INDEX2.rot, INDEX2.inv, b)) == [m]
     # and not conversely: index 2 does not include into index 6
     assert pointed_morphism(pointed(INDEX2, 0), pointed(NORMAL6_A, 0)) is None
 

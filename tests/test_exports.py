@@ -3,15 +3,18 @@
 A name in `trivalent.__all__`, or a top-level function or class of any
 module, that no module refers to outside its own definition serves no verb
 and no oracle; it should be deleted rather than kept.  Imports do not count
-as uses, and neither does `__init__.py`, which only re-exports.
+as uses, and neither does `__init__.py`, which only re-exports.  The
+README's library examples run as written.
 """
 
 import ast
+import doctest
 import os
 
 import trivalent
 
 PACKAGE = os.path.dirname(os.path.abspath(trivalent.__file__))
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def _uses_outside_own_definition(tree):
@@ -64,3 +67,8 @@ def test_every_top_level_definition_is_used_inside_the_package():
         and node.name not in uses
     ]
     assert unused == []
+
+
+def test_readme_examples_run_as_documented():
+    result = doctest.testfile(README, module_relative=False, encoding="utf-8")
+    assert result.attempted > 0 and result.failed == 0

@@ -1,12 +1,12 @@
 """Tests for the exact truncated series and number-theoretic helpers."""
 
-import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from trivalent import selftest
 from trivalent.series import (
     TruncSeries,
     euler_transform,
@@ -20,15 +20,6 @@ Q = Fraction
 
 def ts(order, *coeffs):
     return TruncSeries(order, [Q(c) for c in coeffs])
-
-
-def count_involutions(n):
-    """Brute-force oracle: permutations of n points squaring to the identity."""
-    count = 0
-    for p in itertools.permutations(range(n)):
-        if all(p[p[i]] == i for i in range(n)):
-            count += 1
-    return count
 
 
 # --- construction -----------------------------------------------------------
@@ -65,8 +56,9 @@ def test_exp_of_zero():
 
 def test_exp_counts_involutions():
     # exp(t + t^2/2) is the EGF of involutions; the expected coefficients are
-    # frozen from the brute-force count.
-    oracle = [count_involutions(n) for n in range(5)]
+    # frozen from the brute-force count of the permutations squaring to the
+    # identity (those commuting with the identity of n points).
+    oracle = [selftest.brute_commuting(2, ((1, n),)) for n in range(5)]
     assert oracle == [1, 1, 2, 4, 10]
     f = ts(4, 0, 1, Q(1, 2))
     expected = TruncSeries(4, [Q(c, math.factorial(n)) for n, c in enumerate(oracle)])
@@ -131,26 +123,16 @@ def test_transform_domain_errors():
         inverse_euler_transform(TruncSeries(3))
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_exp_log_roundtrip_random(data):
-    order = data.draw(st.integers(1, 64))
-    rational = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-    coeffs = [Q(0)] + data.draw(st.lists(rational, min_size=order, max_size=order))
-    f = TruncSeries(order, coeffs)
-    assert f.exp().log() == f
+def test_exp_log_roundtrip_random():
+    # 100 random series of orders 1..64, fractions in [-9, 9] with
+    # denominator <= 6; the same check also runs the Euler round trip
+    selftest.check_series_roundtrips(random.Random(6), 100, 64)
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_transform_roundtrip_random(data):
-    order = data.draw(st.integers(1, 64))
-    # integer-coefficient types series with constant term 1
-    coeffs = [Q(1)] + [
-        Q(c) for c in data.draw(st.lists(st.integers(-6, 6), min_size=order, max_size=order))
-    ]
-    g = TruncSeries(order, coeffs)
-    assert euler_transform(inverse_euler_transform(g)) == g
+def test_transform_roundtrip_random():
+    # 100 random integer types series with constant term 1, entries in
+    # [-6, 6], orders 1..64; the same check also runs the exp/log round trip
+    selftest.check_series_roundtrips(random.Random(64), 100, 64)
 
 
 def test_exactness_forced_denominators():
