@@ -96,7 +96,7 @@ def _load_cached(path: str, kind: str, general: bool):
         return [int(c) for c in data["coefficients"]]
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(
             "warning: ignoring corrupt cache %s (%s); recomputing" % (path, exc),
             file=sys.stderr,

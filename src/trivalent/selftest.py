@@ -259,8 +259,8 @@ def brute_commuting(p, ctype):
     return count
 
 
-def check_commuting_counts(max_weight, primes=(2, 3)):
-    for p in primes:
+def check_commuting_counts(max_weight):
+    for p in (2, 3):
         for w in range(max_weight + 1):
             for ct in cycle_types(w):
                 formula = count_commuting_order_p(p, ct)

@@ -242,29 +242,6 @@ def test_automorphism_orders_are_pinned(n, trivalent, digest):
     assert hashlib.sha256(",".join(map(str, orders)).encode("ascii")).hexdigest() == digest
 
 
-def test_normal_counts():
-    assert len(enumerate_size(3).normal_representatives()) == 1
-    assert len(enumerate_size(5).normal_representatives()) == 0
-    assert len(enumerate_size(6).normal_representatives()) == 2
-
-
-def test_normal_size6_structure():
-    normals = enumerate_size(6).normal_representatives()
-    assert sorted(automorphism_order(d) for d in normals) == [6, 6]
-    abelian = []
-    for d in normals:
-        maps = automorphisms(d)
-        assert len(maps) == 6
-        abelian.append(
-            all(
-                tuple(f[g[i]] for i in range(6)) == tuple(g[f[i]] for i in range(6))
-                for f in maps
-                for g in maps
-            )
-        )
-    assert sorted(abelian) == [False, True]
-
-
 def test_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_size(CENSUS_CAP_TRIVALENT + 1)

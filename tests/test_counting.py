@@ -14,13 +14,9 @@ from trivalent.counting import (
     disconnected_types_series,
     subgroup_series,
 )
-from trivalent.reference import (
-    CONJUGACY_CLASSES_BY_INDEX,
-    SUBGROUPS_BY_INDEX,
-)
 from trivalent import counting
 from trivalent.selftest import (brute_commuting, check_column_normalisation,
-                                check_integrality, check_modular_vs_fraction)
+                                check_modular_vs_fraction)
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -52,10 +48,6 @@ def test_general_disconnected_egf_against_brute_force_pairs():
         assert disconnected_egf(5, general=True)[n] == Q(count, math.factorial(n))
 
 
-def test_recurrence_matches_closed_form():
-    assert disconnected_egf_by_recurrence(120) == disconnected_egf(120)
-
-
 def test_recurrence_small_orders():
     assert disconnected_egf_by_recurrence(3) == disconnected_egf(3)
     assert disconnected_egf_by_recurrence(0) == disconnected_egf(0)
@@ -66,12 +58,6 @@ def test_recurrence_small_orders():
 
 def test_subgroup_series_first_nine():
     assert subgroup_series(9).integer_coefficients()[1:] == [1, 1, 4, 8, 5, 22, 42, 40, 120]
-
-
-def test_subgroup_series_reference_50():
-    coeffs = subgroup_series(50).integer_coefficients()[1:]
-    assert coeffs == list(SUBGROUPS_BY_INDEX)
-    assert coeffs[49] == 499877970985660
 
 
 def test_subgroup_series_is_pointed_connected_egf():
@@ -90,17 +76,6 @@ def test_dense_route_small_coefficients():
 def test_disconnected_types_small():
     types = disconnected_types_series(7)
     assert types.integer_coefficients() == [1, 1, 2, 4, 7, 10, 24, 37]
-
-
-def test_fast_route_first_nine_and_reference_50():
-    coeffs = conjugacy_class_series(50).integer_coefficients()[1:]
-    assert coeffs[:9] == [1, 1, 2, 2, 1, 8, 6, 7, 14]
-    assert coeffs == list(CONJUGACY_CLASSES_BY_INDEX)
-    assert coeffs[49] == 9997568771074
-
-
-def test_dense_and_fast_routes_agree_to_20():
-    assert conjugacy_class_series_dense(20) == conjugacy_class_series(20)
 
 
 def test_dense_route_cap():
@@ -204,10 +179,6 @@ def test_lift_rejects_a_residue_that_is_no_multiple():
 
 
 # --- cross-cutting properties --------------------------------------------------------
-
-
-def test_integrality_and_nonnegativity():
-    check_integrality(40)
 
 
 def test_pointing_bounds():

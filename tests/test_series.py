@@ -1,7 +1,6 @@
 """Tests for the exact truncated series and number-theoretic helpers."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -121,18 +120,6 @@ def test_transform_domain_errors():
         euler_transform(TruncSeries(3, [1]))
     with pytest.raises(ValueError):
         inverse_euler_transform(TruncSeries(3))
-
-
-def test_exp_log_roundtrip_random():
-    # 100 random series of orders 1..64, fractions in [-9, 9] with
-    # denominator <= 6; the same check also runs the Euler round trip
-    selftest.check_series_roundtrips(random.Random(6), 100, 64)
-
-
-def test_transform_roundtrip_random():
-    # 100 random integer types series with constant term 1, entries in
-    # [-6, 6], orders 1..64; the same check also runs the exp/log round trip
-    selftest.check_series_roundtrips(random.Random(64), 100, 64)
 
 
 def test_exactness_forced_denominators():
