@@ -1,6 +1,8 @@
 """Tests for the command-line interface (run in-process via cli.main)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -690,20 +692,37 @@ def test_export_dot_bytes_are_pinned(tmp_path, capsys):
 # --- selftest ----------------------------------------------------------------
 
 
-def test_selftest_quick_passes(tmp_path, monkeypatch, capsys):
-    # the cache is advisory and never consulted by the verification suite,
-    # so a corrupt one changes nothing
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
+@pytest.fixture(scope="module")
+def selftest_quick_run(tmp_path_factory):
+    # one `selftest quick` run, made under a corrupt cache file, serves both
+    # tests below: the cache is advisory and never consulted by the
+    # verification suite, so a corrupt one changes nothing
+    cache_dir = tmp_path_factory.mktemp("cache")
     (cache_dir / "count-classes.json").write_text("garbage")
-    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
-    code, out, _ = run(capsys, "selftest", "quick")
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.CACHE_ENV, str(cache_dir))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["selftest", "quick"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_selftest_quick_passes(selftest_quick_run):
+    code, out, _ = selftest_quick_run
     assert code == 0
     assert "FAIL" not in out
     lines = out.splitlines()
     assert len(lines) >= 8
     # each check reports its wall time
     assert all(re.fullmatch(r"ok [a-z0-9-]+ \(\d+\.\d\d s\)", line) for line in lines)
+
+
+def test_selftest_quick_ignores_corrupt_cache(selftest_quick_run):
+    code, out, err = selftest_quick_run
+    assert code == 0
+    assert "FAIL" not in out
+    # the suite never reads the cache, so it never warns about it either
+    assert "corrupt cache" not in err
 
 
 def test_selftest_names_first_failing_check(monkeypatch, capsys):
