@@ -31,15 +31,20 @@ per-column fixed-point counts.
 Arithmetic.  Both `subgroup_series` (column 1) and `conjugacy_class_series`
 (columns 1..N) enter residues in one place, `_column_logs`, which runs
 modulo one prime power M = P^e, P the least prime above the order N
-(`_modulus`).  The only divisors, k^n·n! in the trivalent columns, are then
-units, and all their inverses come from one modular inversion of N!
-(`_inverses`).  Each column's t·d/dt log comes from a division-free
-recurrence (`_log_derivative`), O(m^2) residue products for a column of
-length m, so about 0.8·N^2 products for the class counts.  The residues of
-n·count are lifted once (`_lift`): every count has an a priori
-bound (`_bounds`), M exceeds 2^64 times it, and a residue that is not n
-times a count within its bound raises `ValueError`.  On a 2-core x86 host
-with Python 3.11.7 the index-500 series take 0.05–0.09 s each.  The
+(`_modulus`).  A general column satisfies a first-order equation, so its log
+comes as exact integers from the recurrence of its inverse series
+(`_general_log_derivative`), about m^2/4 products for a column of length m.
+A trivalent column divides by k^n·n!, units modulo M whose inverses all come
+from one modular inversion of N! (`_inverses`); a division-free recurrence
+on residues (`_log_derivative`) takes its log in about m^2/2 products, each
+with one small factor.  For the class counts that is about 0.4·N^2 and
+0.8·N^2 products.  The residues of n·count are lifted once (`_lift`): every
+count has an a priori bound (`_bounds`), M exceeds 2^64 times it, and a
+residue that is not n times a count within its bound raises `ValueError`.
+The general kernel computes exact integers: a fault there gives small wrong
+integers, which `_lift`'s 2^-64 argument does not cover, so its guards are
+`selftest.check_column_logs` and the pinned index-500 digests.  On a 2-core
+x86 host with Python 3.11.7 the index-500 series take 0.03–0.16 s each.  The
 `Fraction` routes (`connected_egf`, and `TruncSeries.log` of each
 `_condensed_column` in `selftest.fraction_class_series`) are their oracles.
 
@@ -135,10 +140,12 @@ def _column_logs(order: int, general: bool, columns: int) -> tuple:
     inverses = None if general else _inverses(order, modulus)
     lg = [0] * (order + 1)
     for k in range(1, columns + 1):
-        column = _residue_column(k, order // k, general, modulus, inverses)
-        b = _log_derivative(column, modulus)
+        if general:
+            b = _general_log_derivative(k, order // k)
+        else:
+            b = _log_derivative(_residue_column(k, order // k, modulus, inverses), modulus, k)
         for j in range(1, len(b)):
-            lg[k * j] = (lg[k * j] + k * b[j]) % modulus
+            lg[k * j] = (lg[k * j] + b[j]) % modulus
     return lg, modulus, bounds
 
 
@@ -189,34 +196,47 @@ def _inverses(n: int, modulus: int) -> list:
     return table
 
 
-def _residue_column(k: int, n_max: int, general: bool, modulus: int, inverses) -> list:
-    """The condensed column k of `_condensed_column` modulo `modulus`:
-    E_2(k,n)·E_3(k,n)/(k^n·n!) for n = 0..n_max, or E_2(k,n) in the general
-    flavor, which needs no inverses.  Sending the general flavor through the
-    same scaling, as E_2(k,n)·k^n·n!/(k^n·n!), gives the same series but made
-    the general class series at N = 500 take 156-196 ms instead of 68-122 ms
-    (medians 162 and 72 ms over 7 alternating runs, 2-core x86, Python
-    3.11.7), so the general column keeps this fork."""
+def _residue_column(k: int, n_max: int, modulus: int, inverses) -> list:
+    """The trivalent condensed column k of `_condensed_column` modulo
+    `modulus`: E_2(k,n)·g_n for n = 0..n_max, where g_n = E_3(k,n)/(k^n·n!)
+    comes from its own recurrence g_n = (chi·g_{n-1} + g_{n-3})/(k·n),
+    chi = 3 if 3 | k else 1 (that of `commuting_order_p_counts` divided by
+    k^n·n!).  As k·n <= N, every divisor is in `inverses`."""
     e2 = commuting_order_p_counts(2, k, n_max)
-    if general:
-        return [v % modulus for v in e2]
-    e3 = commuting_order_p_counts(3, k, n_max)
-    column = [1] * (n_max + 1)
-    scale = 1  # 1/(k^n·n!)
+    chi = 3 if k % 3 == 0 else 1
+    g = [0, 0, 1]  # g_{-2}, g_{-1}, g_0
     for n in range(1, n_max + 1):
-        scale = scale * inverses[k] % modulus * inverses[n] % modulus
-        column[n] = e2[n] * e3[n] % modulus * scale % modulus
-    return column
+        g.append((chi * g[-1] + g[-3]) * inverses[k * n] % modulus)
+    return [e * v % modulus for e, v in zip(e2, g[2:])]
 
 
-def _log_derivative(column: list, modulus: int) -> list:
-    """B_m = m·(log A)_m modulo `modulus` for the series A = column (A_0 = 1),
-    by the division-free recurrence B_m = m·A_m - sum_{j<m} B_j·A_{m-j}
-    (from t·(log A)'·A = t·A')."""
+def _log_derivative(column: list, modulus: int, k: int) -> list:
+    """k·B_m modulo `modulus`, B_m = m·(log A)_m for the series A = column
+    (A_0 = 1), by the division-free recurrence k·B_m = k·m·A_m -
+    sum_{j<m} k·B_j·A_{m-j} (from t·(log A)'·A = t·A').  On a trivalent
+    column each k·B_m is a nonnegative integer below M (under 2^700 against
+    a 745-bit M at N = 500), so the residue is that integer."""
     b = [0] * len(column)
     for m in range(1, len(column)):
-        b[m] = (m * column[m] - sum(map(mul, b[1:m], column[m - 1:0:-1]))) % modulus
+        b[m] = (k * m * column[m] - sum(map(mul, b[1:m], column[m - 1:0:-1]))) % modulus
     return b
+
+
+def _general_log_derivative(k: int, n_max: int) -> list:
+    """k·B_m, m = 0..n_max, as exact integers for the general column
+    A = sum_m E_2(k,m)·t^m.  E_m = chi·E_{m-1} + k(m-1)·E_{m-2}, chi = 2 if
+    k is even else 1, gives k·t^3·A' = (1 - chi·t - k·t^2)·A - 1, so G = 1/A
+    has G_0 = 1, G_m = -chi·G_{m-1} + k(m-3)·G_{m-2} - sum_{0<j<m} G_j·G_{m-j}
+    and k·B_m = -G_{m+2}.  The sum is symmetric: about m/2 products."""
+    chi = 2 if k % 2 == 0 else 1
+    g = [1, -chi]
+    for m in range(2, n_max + 3):
+        h = (m - 1) // 2
+        paired = 2 * sum(map(mul, g[1:h + 1], g[m - 1:m - h - 1:-1]))
+        if m % 2 == 0:
+            paired += g[m // 2] * g[m // 2]
+        g.append(-chi * g[m - 1] + k * (m - 3) * g[m - 2] - paired)
+    return [0] + [-v for v in g[3:]]
 
 
 def _lift(residues: list, bounds: list) -> TruncSeries:

@@ -3,13 +3,14 @@
 Re-derives small and large values through independent routes and compares
 them: brute-force enumeration against formulas, the census's canonical
 augmentation against a dictionary of canonical codes, dense against
-separable pipelines, the modular counts against their `Fraction` routes,
-recurrence against closed form, the CLI's pointed decisions against every
-map between small diagram files, and everything against the frozen
-reference sequences.
-`quick` stays at truncation order 20 (60 for modular against `Fraction`) and
-census size 8; `full` pushes to order 50, census size 9, the index-500
-values and modular against `Fraction` at order 500.
+separable pipelines, the modular counts and each column kernel against
+their `Fraction` routes, recurrence against closed form, the CLI's pointed
+decisions against every map between small diagram files, and everything
+against the frozen reference sequences.
+`quick` stays at truncation order 20 (60 for the modular counts and the
+column kernels against `Fraction`) and census size 8; `full` pushes to
+order 50, census size 9, the index-500 values and modular against
+`Fraction` at order 500.
 
 Each check is a public function taking its sizes (and, when randomized, the
 `random.Random` to draw from), so the test suite runs these same oracles with
@@ -115,6 +116,33 @@ def check_modular_vs_fraction(order):
         if counting.conjugacy_class_series(order, general) != \
                 fraction_class_series(order, general):
             _fail("modular-vs-fraction", "classes differ at order %d%s" % (order, flavor))
+
+
+def check_column_logs(order):
+    """Each column kernel of `counting._column_logs` against `TruncSeries.log`
+    of `counting._condensed_column`, for every k <= order and both flavors:
+    k·m·[t^m] log of column k must be a nonnegative integer, equal to the
+    general kernel's exact value and, modulo M, to the trivalent kernel's
+    residue.  The trivalent kernel is fast because those values are small."""
+    modulus = counting._modulus(order, max(counting._bounds(order, False)))
+    inverses = counting._inverses(order, modulus)
+    for general in (False, True):
+        flavor = " (general)" if general else ""
+        for k in range(1, order + 1):
+            m_max = order // k
+            col_log = TruncSeries(m_max, counting._condensed_column(k, m_max, general)).log()
+            expected = [k * m * col_log[m] for m in range(m_max + 1)]
+            if any(v.denominator != 1 or v < 0 for v in expected):
+                _fail("column-logs", "column %d%s: a scaled log coefficient is not a "
+                      "nonnegative integer" % (k, flavor))
+            if general:
+                got = counting._general_log_derivative(k, m_max)
+            else:
+                column = counting._residue_column(k, m_max, modulus, inverses)
+                got = counting._log_derivative(column, modulus, k)
+                expected = [v % modulus for v in expected]
+            if got != expected:
+                _fail("column-logs", "column %d%s differs at order %d" % (k, flavor, order))
 
 
 def check_column_normalisation(max_weight):
@@ -666,6 +694,7 @@ def run_selftest(full: bool) -> bool:
         ("dense-vs-fast-general-order-12", lambda: check_dense_vs_fast(12, general=True)),
         ("column-normalisation-weight-8", lambda: check_column_normalisation(8)),
         ("modular-vs-fraction-order-60", lambda: check_modular_vs_fraction(60)),
+        ("column-logs-order-60", lambda: check_column_logs(60)),
         ("reference-order-20", lambda: check_reference(20)),
         ("census-to-size-8", lambda: check_census(8)),
         ("census-vs-brute", lambda: check_census_vs_brute(6, 5)),

@@ -123,8 +123,8 @@ def test_wrong_residue_exits_4_without_output_or_cache(tmp_path, monkeypatch, ca
 
     residue_column = counting._residue_column
 
-    def corrupted(k, n_max, general, modulus, inverses):
-        column = residue_column(k, n_max, general, modulus, inverses)
+    def corrupted(k, n_max, modulus, inverses):
+        column = residue_column(k, n_max, modulus, inverses)
         if len(column) > 2:
             column[2] = (column[2] + 1) % modulus
         return column

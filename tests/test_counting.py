@@ -1,5 +1,6 @@
 """Tests for the generating-series pipelines."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from trivalent.counting import (
     subgroup_series,
 )
 from trivalent import counting
-from trivalent.selftest import (brute_commuting, check_column_normalisation,
-                                check_modular_vs_fraction)
+from trivalent.selftest import (brute_commuting, check_column_logs,
+                                check_column_normalisation, check_modular_vs_fraction)
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -142,6 +143,30 @@ def test_modular_kernel_equals_fraction_oracles_to_60():
     # each order picks its own prime and exponent, down to P = 2 at order 1
     for order in range(1, 61):
         check_modular_vs_fraction(order)
+
+
+def test_column_kernels_equal_fraction_logs_to_150():
+    check_column_logs(150)
+
+
+# SHA-256 of the comma-joined coefficients 1..500, as `perfbench/workloads.py`
+# checks them; the only tier-1 check of the general flavor at index 500
+INDEX_500_DIGESTS = {
+    (subgroup_series, False): "c506efcfa74eb6d10cac1fc49107e7dde8c91e8bee6234061b2d6265be9166b3",
+    (conjugacy_class_series, False):
+        "1739b3b9103a579a1be696e7338f3183065b6ebcc2e416cd6f427c2d58420781",
+    (subgroup_series, True): "15e299b625b7ea0db845f001379687c3f0afddadb8105074f4a769e9f411858a",
+    (conjugacy_class_series, True):
+        "eb2783fd0c61882cb972cfa6a42cb3508b1534a2e750826a7f118ddb9a883aaf",
+}
+
+
+@pytest.mark.parametrize("series, general", list(INDEX_500_DIGESTS),
+                         ids=["pointed", "classes", "pointed-general", "classes-general"])
+def test_index_500_digests(series, general):
+    coeffs = series(500, general).integer_coefficients()[1:]
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == INDEX_500_DIGESTS[(series, general)]
 
 
 def test_modulus_is_the_least_power_of_the_least_prime_above_the_order():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from trivalent.diagram import (
-    BicoloredGraph,
     Diagram,
     DiagramParseError,
     MorphismConflict,
