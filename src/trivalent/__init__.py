@@ -44,7 +44,6 @@ from .census import CensusReport, enumerate_size
 from .counting import (
     conjugacy_class_series,
     conjugacy_class_series_dense,
-    connected_egf,
     disconnected_egf,
     disconnected_egf_by_recurrence,
     disconnected_types_series,
@@ -75,7 +74,6 @@ __all__ = [
     "enumerate_size",
     "conjugacy_class_series",
     "conjugacy_class_series_dense",
-    "connected_egf",
     "disconnected_egf",
     "disconnected_egf_by_recurrence",
     "disconnected_types_series",

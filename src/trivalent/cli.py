@@ -43,9 +43,9 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-# the largest `count --max`: `count classes --max 3000` took 112 s on a
-# 2-core x86 host (Python 3.11.7) and the series grow about as N^3.6 from
-# index 2000 to 3000, so N = 5000 runs in about 12 minutes, not hours
+# the largest `count --max`: on a 2-core x86 host (Python 3.11.7)
+# `count classes --max 3000` took 68 s (46 s with --general), 5.5 (5.0) times
+# its index-2000 time, so N = 5000 runs in about 10 (6) minutes, not hours
 MAX_COUNT_INDEX = 5000
 
 CACHE_ENV = "TRIVALENT_CACHE_DIR"
@@ -182,6 +182,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.normal_only and not (args.list or args.dot):
+        raise UsageError("--normal-only restricts a listing; add --list or --dot")
     try:
         report = census_mod.enumerate_size(args.size)
     except census_mod.CensusSizeError as exc:

@@ -42,11 +42,11 @@ with one small factor.  For the class counts that is about 0.4·N^2 and
 count has an a priori bound (`_bounds`), M exceeds 2^64 times it, and a
 residue that is not n times a count within its bound raises `ValueError`.
 The general kernel computes exact integers: a fault there gives small wrong
-integers, which `_lift`'s 2^-64 argument does not cover, so its guards are
-`selftest.check_column_logs` and the pinned index-500 digests.  On a 2-core
-x86 host with Python 3.11.7 the index-500 series take 0.03–0.16 s each.  The
-`Fraction` routes (`connected_egf`, and `TruncSeries.log` of each
-`_condensed_column` in `selftest.fraction_class_series`) are their oracles.
+integers, which `_lift`'s 2^-64 argument does not cover.  On a 2-core x86
+host with Python 3.11.7 the index-500 series take 0.03–0.16 s each.  Their
+oracle is `selftest.check_modular_vs_fraction`: one `TruncSeries.log` of
+each `_condensed_column` on `Fraction`s checks each column kernel's values
+and both series.
 
 The six-term recurrence for a*_n (quartic/quintic polynomial coefficients)
 mirrors the holonomic equation satisfied by the defining exponentials; it is
@@ -110,11 +110,6 @@ def disconnected_egf_by_recurrence(order: int) -> TruncSeries:
         rhs += ((n + 9) * n + 20) * n * a[n + 5] + a[n + 5]
         a.append(rhs / lead)
     return TruncSeries(order, a)
-
-
-def connected_egf(order: int, general: bool = False) -> TruncSeries:
-    """EGF values of connected labeled structures: log of `disconnected_egf`."""
-    return disconnected_egf(order, general).log()
 
 
 def subgroup_series(order: int, general: bool = False) -> TruncSeries:

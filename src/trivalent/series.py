@@ -10,12 +10,11 @@ conversion to integers; its constructor refuses floats.
 exp and log are computed by the usual first-order ODE recurrences on
 coefficients (g' = f'·g and l'·f = f'), which cost O(N^2) rational
 operations.  The recurrences live in `TruncSeries.exp` and `TruncSeries.log`
-only: the Euler transforms call both, and the `Fraction` oracles of the
-counting pipelines call `log`, `counting.connected_egf` on the whole labeled
-series and `selftest.fraction_class_series` on each compressed cycle-index
-column.  The production counts do not come through here: `counting` runs
-them modulo a prime power and only wraps the lifted integers in a
-`TruncSeries`.
+only: the Euler transforms call both, and the `Fraction` oracle of the
+counting pipelines, `selftest.check_modular_vs_fraction`, calls `log` once
+on each compressed cycle-index column.  The production counts do not come
+through here: `counting` runs them modulo a prime power and only wraps
+the lifted integers in a `TruncSeries`.
 """
 
 from __future__ import annotations

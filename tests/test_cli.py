@@ -257,6 +257,16 @@ def test_census_normal_only_list(capsys):
     assert is_normal(d)
 
 
+def test_census_normal_only_needs_a_listing(monkeypatch, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the usage check")
+
+    monkeypatch.setattr(cli.census_mod, "enumerate_size", no_enumeration)
+    code, out, err = run(capsys, "census", "--size", "6", "--normal-only")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --normal-only restricts a listing; add --list or --dot\n"
+
+
 def test_census_list_all(capsys):
     code, out, _ = run(capsys, "census", "--size", "4", "--list")
     payload = json.loads(out)
@@ -395,18 +405,11 @@ def test_decide_included_false_has_verifiable_conflict(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", "included", top, sub)
     payload = json.loads(out)
     assert payload["result"] is False
-    conflict = payload["witness"]["critical_pair"]
-    from trivalent.diagram import parse_diagram_text
+    from trivalent import selftest
 
-    d_src, _ = parse_diagram_text(TERMINAL_TEXT)
-    d_dst, _ = parse_diagram_text(INDEX2_TEXT)
-    gen = {"rot": (d_src.rot, d_dst.rot), "inv": (d_src.inv, d_dst.inv)}
-    g_src, g_dst = gen[conflict["generator"]]
-    m = conflict["partial_map"]
-    assert g_src[conflict["arc"]] == conflict["target_arc"]
-    assert m[conflict["target_arc"]] == conflict["existing_image"]
-    assert g_dst[m[conflict["arc"]]] == conflict["required_image"]
-    assert conflict["existing_image"] != conflict["required_image"]
+    # (rot, inv, base) of TERMINAL_TEXT and INDEX2_TEXT
+    src, dst = ([0], [0], 0), ([0, 1], [1, 0], 0)
+    assert selftest.refutes(payload["witness"]["critical_pair"], src, dst)
 
 
 def test_decide_isomorphic(tmp_path, capsys):

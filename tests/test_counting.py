@@ -1,6 +1,5 @@
 """Tests for the generating-series pipelines."""
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -9,15 +8,14 @@ import pytest
 from trivalent.counting import (
     conjugacy_class_series,
     conjugacy_class_series_dense,
-    connected_egf,
     disconnected_egf,
     disconnected_egf_by_recurrence,
     disconnected_types_series,
     subgroup_series,
 )
 from trivalent import counting
-from trivalent.selftest import (brute_commuting, check_column_logs,
-                                check_column_normalisation, check_modular_vs_fraction)
+from trivalent.selftest import (SelfTestFailure, brute_commuting, check_column_normalisation,
+                                check_modular_vs_fraction)
 from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
 
 Q = Fraction
@@ -63,7 +61,7 @@ def test_subgroup_series_first_nine():
 
 def test_subgroup_series_is_pointed_connected_egf():
     order = 30
-    assert subgroup_series(order) == connected_egf(order).euler_operator()
+    assert subgroup_series(order) == disconnected_egf(order).log().euler_operator()
 
 
 # --- unpointed counts -------------------------------------------------------------
@@ -146,27 +144,25 @@ def test_modular_kernel_equals_fraction_oracles_to_60():
 
 
 def test_column_kernels_equal_fraction_logs_to_150():
-    check_column_logs(150)
+    check_modular_vs_fraction(150)
 
 
-# SHA-256 of the comma-joined coefficients 1..500, as `perfbench/workloads.py`
-# checks them; the only tier-1 check of the general flavor at index 500
-INDEX_500_DIGESTS = {
-    (subgroup_series, False): "c506efcfa74eb6d10cac1fc49107e7dde8c91e8bee6234061b2d6265be9166b3",
-    (conjugacy_class_series, False):
-        "1739b3b9103a579a1be696e7338f3183065b6ebcc2e416cd6f427c2d58420781",
-    (subgroup_series, True): "15e299b625b7ea0db845f001379687c3f0afddadb8105074f4a769e9f411858a",
-    (conjugacy_class_series, True):
-        "eb2783fd0c61882cb972cfa6a42cb3508b1534a2e750826a7f118ddb9a883aaf",
-}
+def _with_one_entry_off(kernel, column):
+    """`kernel` with entry 2 of its output for column k = `column` raised by 1."""
+    def wrong(k, *args):
+        out = kernel(k, *args)
+        if k == column:
+            out[2] += 1
+        return out
+    return wrong
 
 
-@pytest.mark.parametrize("series, general", list(INDEX_500_DIGESTS),
-                         ids=["pointed", "classes", "pointed-general", "classes-general"])
-def test_index_500_digests(series, general):
-    coeffs = series(500, general).integer_coefficients()[1:]
-    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
-    assert digest == INDEX_500_DIGESTS[(series, general)]
+@pytest.mark.parametrize("name, flavor", [("_general_log_derivative", "general"),
+                                          ("_residue_column", "trivalent")])
+def test_fraction_oracle_names_a_faulty_column_kernel(monkeypatch, name, flavor):
+    monkeypatch.setattr(counting, name, _with_one_entry_off(getattr(counting, name), 3))
+    with pytest.raises(SelfTestFailure, match="%s column 3 differs at order 40" % flavor):
+        check_modular_vs_fraction(40)
 
 
 def test_modulus_is_the_least_power_of_the_least_prime_above_the_order():
