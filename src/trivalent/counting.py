@@ -29,24 +29,24 @@ where c[k][n] is the (rational) condensed coefficient built from the two
 per-column fixed-point counts.
 
 Arithmetic.  Both `subgroup_series` (column 1) and `conjugacy_class_series`
-(columns 1..N) enter residues in one place, `_column_logs`, which runs
-modulo one prime power M = P^e, P the least prime above the order N
-(`_modulus`).  A general column satisfies a first-order equation, so its log
-comes as exact integers from the recurrence of its inverse series
-(`_general_log_derivative`), about m^2/4 products for a column of length m.
-A trivalent column divides by k^n·n!, units modulo M whose inverses all come
-from one modular inversion of N! (`_inverses`); a division-free recurrence
-on residues (`_log_derivative`) takes its log in about m^2/2 products, each
-with one small factor.  For the class counts that is about 0.4·N^2 and
-0.8·N^2 products.  The residues of n·count are lifted once (`_lift`): every
-count has an a priori bound (`_bounds`), M exceeds 2^64 times it, and a
-residue that is not n times a count within its bound raises `ValueError`.
-The general kernel computes exact integers: a fault there gives small wrong
-integers, which `_lift`'s 2^-64 argument does not cover.  On a 2-core x86
-host with Python 3.11.7 the index-500 series take 0.03–0.16 s each.  Their
-oracle is `selftest.check_modular_vs_fraction`: one `TruncSeries.log` of
-each `_condensed_column` on `Fraction`s checks each column kernel's values
-and both series.
+(columns 1..N) enter residues in `_column_logs`, which runs modulo one prime
+power M = P^e, P the least prime above the order N (`_modulus`), and takes
+each column's kernel from one seam, `_column_kernel`.  A general column
+satisfies a first-order equation, so its log comes as exact integers from
+the recurrence of its inverse series (`_general_log_derivative`), about
+m^2/4 products for a column of length m.  A trivalent column divides by
+k^n·n!, units modulo M whose inverses all come from one modular inversion of
+N! (`_inverses`); a division-free recurrence on residues (`_log_derivative`)
+takes its log in about m^2/2 products, each with one small factor.  For the
+class counts that is about 0.4·N^2 and 0.8·N^2 products.  The residues of
+n·count are lifted once (`_lift`): every count has an a priori bound
+(`_bounds`), M exceeds 2^64 times it, and a residue that is not n times a
+count within its bound raises `ValueError`.  The general kernel computes
+exact integers: a fault there gives small wrong integers, which `_lift`'s
+2^-64 argument does not cover.  On a 2-core x86 host with Python 3.11.7 the
+index-500 series take 0.03–0.16 s each.  Their oracle is
+`selftest.check_modular_vs_fraction`: one `TruncSeries.log` of each
+`_condensed_column` on `Fraction`s checks each kernel and both series.
 
 The six-term recurrence for a*_n (quartic/quintic polynomial coefficients)
 mirrors the holonomic equation satisfied by the defining exponentials; it is
@@ -128,20 +128,27 @@ def subgroup_series(order: int, general: bool = False) -> TruncSeries:
 def _column_logs(order: int, general: bool, columns: int) -> tuple:
     """(lg, modulus, bounds): lg[n], n = 0..order, is the t^n coefficient of
     t·d/dt log of the product of the condensed columns k = 1..columns modulo
-    `modulus`, and `bounds` are the bounds `_lift` checks.  This is where both
-    series enter residues: column k, a series in t^k, puts k·B_j at t^{kj}."""
-    bounds = _bounds(order, general)
-    modulus = _modulus(order, max(bounds))
-    inverses = None if general else _inverses(order, modulus)
+    `modulus`, and `bounds` are the bounds `_lift` checks.  Column k, a
+    series in t^k, puts k·B_j = kernel(k)[j] at t^{kj}."""
+    kernel, modulus, bounds = _column_kernel(order, general)
     lg = [0] * (order + 1)
     for k in range(1, columns + 1):
-        if general:
-            b = _general_log_derivative(k, order // k)
-        else:
-            b = _log_derivative(_residue_column(k, order // k, modulus, inverses), modulus, k)
-        for j in range(1, len(b)):
-            lg[k * j] = (lg[k * j] + b[j]) % modulus
+        for j, v in enumerate(kernel(k)[1:], 1):
+            lg[k * j] = (lg[k * j] + v) % modulus
     return lg, modulus, bounds
+
+
+def _column_kernel(order: int, general: bool) -> tuple:
+    """(kernel, modulus, bounds): kernel(k) is condensed column k's k·B_j,
+    exact (general flavor) or modulo `modulus` (trivalent).  Both series and
+    their `Fraction` oracle take each column's kernel from here."""
+    bounds = _bounds(order, general)
+    modulus = _modulus(order, max(bounds))
+    if general:
+        return (lambda k: _general_log_derivative(k, order // k)), modulus, bounds
+    inverses = _inverses(order, modulus)
+    return (lambda k: _log_derivative(_residue_column(k, order // k, modulus, inverses),
+                                      modulus, k)), modulus, bounds
 
 
 def _bounds(order: int, general: bool) -> list:

@@ -8,9 +8,10 @@ their `Fraction` routes, recurrence against closed form, the CLI's pointed
 decisions against every map between small diagram files, and everything
 against the frozen reference sequences.
 `quick` stays at truncation order 20 (60 for the modular counts and the
-column kernels against `Fraction`) and census size 8; `full` pushes to
-order 50, census size 9, the index-500 values and the modular counts and
-column kernels against `Fraction` at order 500.
+column kernels against `Fraction`), census size 8 against the series, sizes
+6 and 5 (trivalent, general) against brute force and 12 and 7 against
+canonical codes; `full` pushes to order 50, census size 9, and the modular
+counts and column kernels against `Fraction` and the frozen values at 500.
 
 Each check is a public function taking its sizes (and, when randomized, the
 `random.Random` to draw from), so the test suite runs these same oracles with
@@ -91,20 +92,20 @@ def check_dense_vs_fast(order, general=False):
 
 
 def check_modular_vs_fraction(order):
-    """Each column kernel of `counting._column_logs` and both series, both
-    flavors, against `TruncSeries.log` of each `counting._condensed_column`,
-    taken once per column.  k·m·[t^m] of the log of column k must be a
-    nonnegative integer, equal to the general kernel's exact value and,
-    modulo M, to the trivalent kernel's residue (the trivalent kernel is fast
-    because those values are small); the subgroups must be t·d/dt of column
-    1's log, and the classes the Moebius power sum of all the logs spread to
-    t^{kj}.  The oracle shares only the integer fixed-point counts of
-    `cycleindex` with the kernels."""
-    modulus = counting._modulus(order, max(counting._bounds(order, False)))
-    inverses = counting._inverses(order, modulus)
+    """Both series and each column kernel of `counting._column_kernel`, both
+    flavors, against one `TruncSeries.log` of each
+    `counting._condensed_column`.  k·m·[t^m] of the log of column k must be
+    a nonnegative integer, equal to kernel(k)[m] (modulo M in the trivalent
+    flavor, whose kernel is fast because those values are small); the
+    subgroups must be t·d/dt of column 1's log, and the classes the Moebius
+    power sum of all the logs spread to t^{kj}.  The oracle shares only the
+    integer fixed-point counts of `cycleindex` with the kernels.  Returns
+    the trivalent series, checked last."""
     mu = moebius_sieve(order)
-    for general in (False, True):
+    for general in (True, False):
         flavor = "general" if general else "trivalent"
+        kernel, modulus, _ = counting._column_kernel(order, general)
+        subgroups = counting.subgroup_series(order, general)
         lg = [Fraction(0)] * (order + 1)
         for k in range(1, order + 1):
             m_max = order // k
@@ -113,22 +114,17 @@ def check_modular_vs_fraction(order):
             if any(v.denominator != 1 or v < 0 for v in expected):
                 _fail("modular-vs-fraction", "%s column %d: a scaled log coefficient is not "
                       "a nonnegative integer at order %d" % (flavor, k, order))
-            if general:
-                got = counting._general_log_derivative(k, m_max)
-            else:
-                column = counting._residue_column(k, m_max, modulus, inverses)
-                got = counting._log_derivative(column, modulus, k)
-                expected = [v % modulus for v in expected]
-            if got != expected:
+            if kernel(k) != (expected if general else [v % modulus for v in expected]):
                 _fail("modular-vs-fraction", "%s column %d differs at order %d"
                       % (flavor, k, order))
-            if k == 1 and counting.subgroup_series(order, general) != col_log.euler_operator():
+            if k == 1 and subgroups != col_log.euler_operator():
                 _fail("modular-vs-fraction", "%s subgroups differ at order %d" % (flavor, order))
             for j in range(1, m_max + 1):
                 lg[k * j] += col_log[j]
-        if counting.conjugacy_class_series(order, general) != \
-                TruncSeries(order, _power_sum(lg, mu)):
+        classes = counting.conjugacy_class_series(order, general)
+        if classes != TruncSeries(order, _power_sum(lg, mu)):
             _fail("modular-vs-fraction", "%s classes differ at order %d" % (flavor, order))
+    return subgroups, classes
 
 
 def check_column_normalisation(max_weight):
@@ -587,17 +583,21 @@ def refutes(pair, src, dst):
             and g2[m[x]] == pair["required_image"] != pair["existing_image"])
 
 
-def check_pointed_relations(rng, cases, max_arcs=6):
+#: Arcs per file in `check_pointed_relations`: brute force tries up to 6^5 maps.
+POINTED_MAX_ARCS = 6
+
+
+def check_pointed_relations(rng, cases):
     """`decide included|isomorphic` against brute force on `cases` random
-    pairs of at most max_arcs arcs, connected or not: the exit code and
-    the error line (a disconnected file, as `_transitive` finds it, file 1
-    first), the size answer of `isomorphic`, the map when one exists (all
-    maps tried), or else a critical pair that refutes every map.  Between
-    connected files `pointed_morphism` and `pointed_morphism_conflict` must
-    agree."""
+    pairs of at most `POINTED_MAX_ARCS` arcs, connected or not: the exit
+    code and the error line (a disconnected file, as `_transitive` finds it,
+    file 1 first), the size answer of `isomorphic`, the map when one exists
+    (all maps tried), or else a critical pair that refutes every map.
+    Between connected files `pointed_morphism` and
+    `pointed_morphism_conflict` must agree."""
     with tempfile.TemporaryDirectory() as directory:
         for case in range(cases):
-            pair = random_pointed_pair(rng, max_arcs)
+            pair = random_pointed_pair(rng, POINTED_MAX_ARCS)
             paths, texts = [], []
             for name, (rot, inv, base) in zip(("one", "two"), pair):
                 texts.append("n=%d; rot=%s; inv=%s; base=%d"
@@ -663,15 +663,14 @@ def check_integrality(order):
                 _fail("integrality", "negative coefficient at order %d" % order)
 
 
-def check_index_500():
-    pointed = counting.subgroup_series(500)[500]
-    if pointed != reference.SUBGROUPS_INDEX_500:
+def check_index_500(pointed, classes):
+    """The series' index-500 coefficients against the frozen values."""
+    if pointed[500] != reference.SUBGROUPS_INDEX_500:
         _fail("weight-500", "index-500 subgroup count mismatch")
-    classes = counting.conjugacy_class_series(500)[500]
-    if classes != reference.CONJUGACY_CLASSES_INDEX_500:
+    if classes[500] != reference.CONJUGACY_CLASSES_INDEX_500:
         _fail("weight-500", "index-500 class count mismatch")
-    print("  index-500 subgroups: %d" % pointed)
-    print("  index-500 classes:   %d" % classes)
+    print("  index-500 subgroups: %d" % pointed[500])
+    print("  index-500 classes:   %d" % classes[500])
 
 
 def run_selftest(full: bool) -> bool:
@@ -705,8 +704,7 @@ def run_selftest(full: bool) -> bool:
             ("census-size-9", lambda: check_census(9)),
             ("integrality-order-40", lambda: check_integrality(40)),
             ("recurrence-order-500", lambda: check_recurrence(500)),
-            ("weight-500", check_index_500),
-            ("modular-vs-fraction-500", lambda: check_modular_vs_fraction(500)),
+            ("modular-vs-fraction-500", lambda: check_index_500(*check_modular_vs_fraction(500))),
         ]
     for name, check in checks:
         start = time.perf_counter()

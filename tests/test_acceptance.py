@@ -41,7 +41,8 @@ def test_criterion_2_class_counts_to_50():
 
 def test_criterion_3_weight_500():
     start = time.perf_counter()
-    selftest.check_index_500()
+    selftest.check_index_500(counting.subgroup_series(500),
+                             counting.conjugacy_class_series(500))
     assert len(str(reference.SUBGROUPS_INDEX_500)) == 203
     assert len(str(reference.CONJUGACY_CLASSES_INDEX_500)) == 200
     elapsed = time.perf_counter() - start

@@ -747,10 +747,12 @@ def test_selftest_names_first_failing_check(monkeypatch, capsys):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # every CLI call pays the import; dataclasses pulls in inspect, ast, dis
+    # every CLI call pays the import; dataclasses pulls in inspect, ast, dis,
+    # and only `selftest` needs the oracles
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, trivalent.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = ("import sys, trivalent.cli; print(sorted("
+             "{'dataclasses', 'inspect', 'trivalent.selftest'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -189,17 +189,6 @@ def test_dense_weight0_is_constant_one():
         assert _burnside_term(ct(), general) == 1
 
 
-def test_hadamard_dense_coefficients_are_fixed_count_products():
-    # the product of a type's condensed columns is fix_2·fix_3/z
-    for ctype in cycle_types_up_to(6):
-        product = Q(1)
-        for k, m in ctype:
-            product *= _condensed_column(k, m, False)[m]
-        u2 = count_commuting_order_p(2, ctype)
-        u3 = count_commuting_order_p(3, ctype)
-        assert product == Q(u2 * u3, centralizer_order(ctype))
-
-
 def test_hadamard_factored_table_entries():
     # condensed Hadamard columns fix_2·fix_3/(k^m m!), at the entries of the
     # weight-4, weight-6 and weight-7 tables
