@@ -46,7 +46,6 @@ from .counting import (
     conjugacy_class_series_dense,
     disconnected_egf,
     disconnected_egf_by_recurrence,
-    disconnected_types_series,
     subgroup_series,
 )
 
@@ -76,6 +75,5 @@ __all__ = [
     "conjugacy_class_series_dense",
     "disconnected_egf",
     "disconnected_egf_by_recurrence",
-    "disconnected_types_series",
     "subgroup_series",
 ]

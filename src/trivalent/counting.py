@@ -277,22 +277,6 @@ def _condensed_column(k: int, n_max: int, general: bool) -> list:
     ]
 
 
-def disconnected_types_series(order: int, general: bool = False) -> TruncSeries:
-    """Isomorphism types of not-necessarily-connected structures: the
-    condensed (x_k := t^k) Hadamard product of the two cycle indices, i.e.
-    the product over k of the condensed columns as series in t^k."""
-    coeffs = [Fraction(1)] + [_ZERO] * order
-    for k in range(1, order + 1):
-        column = _condensed_column(k, order // k, general)
-        # multiply by sum_m column[m] t^{km} in place; column[0] == 1, and
-        # going down leaves the lower coefficients unchanged until read
-        for i in range(order, k - 1, -1):
-            coeffs[i] += sum(column[m] * coeffs[i - k * m] for m in range(1, i // k + 1))
-    result = TruncSeries(order, coeffs)
-    result.integer_coefficients()
-    return result
-
-
 def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
     """Coefficient of t^n = number of conjugacy classes of index-n subgroups
     (unpointed connected types); the fast separable route.

@@ -293,7 +293,9 @@ def _parse_arrays(text: str) -> _Arrays:
     try:
         rot, inv = _check_arrays(rot, inv)
     except ValueError as exc:
-        raise error(str(exc), fields["rot"][1]) from None
+        # a fault of inv names inv first; every other fault points at rot
+        key = "inv" if str(exc).startswith("inv ") else "rot"
+        raise error(str(exc), fields[key][1]) from None
     arrays = _Arrays(rot, inv, base, *position(fields["rot"][1]))
     if base is not None and not 0 <= base < n:
         _check_connected(arrays)

@@ -88,7 +88,5 @@ def test_criterion_8_property_suites():
     selftest.check_series_roundtrips(rng, 110, 64)
     # canonical-code completeness against brute-force isomorphism at n <= 8
     selftest.check_canonical_codes(rng, range(1, 9), 1)
-    # integrality of all type-series coefficients
-    selftest.check_integrality(40)
     elapsed = time.perf_counter() - start
-    _report(8, "round-trips, code completeness at n<=8, integrality", elapsed)
+    _report(8, "round-trips, code completeness at n<=8", elapsed)

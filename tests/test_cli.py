@@ -225,6 +225,20 @@ def test_edited_cache_value_is_not_served(tmp_path, monkeypatch, capsys):
     assert os.listdir(cache_dir) == ["count-classes.json"]
 
 
+def test_unwritable_cache_warns_and_keeps_the_output(tmp_path, monkeypatch, capsys):
+    # a directory under a regular file cannot be made, even by root
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    _, uncached, _ = run(capsys, "count", "classes", "--max", "9")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv(cli.CACHE_ENV, str(blocker / "cache"))
+    code, out, err = run(capsys, "count", "classes", "--max", "9")
+    assert code == 0
+    assert out == uncached
+    assert "warning: could not write cache %s" % (blocker / "cache" / "count-classes.json") in err
+    assert blocker.read_text() == ""
+
+
 def test_no_cache_dir_means_no_cache(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     code, out, _ = run(capsys, "count", "classes", "--max", "3")

@@ -10,12 +10,11 @@ from trivalent.counting import (
     conjugacy_class_series_dense,
     disconnected_egf,
     disconnected_egf_by_recurrence,
-    disconnected_types_series,
     subgroup_series,
 )
 from trivalent import counting
 from trivalent.selftest import SelfTestFailure, brute_commuting, check_modular_vs_fraction
-from trivalent.series import TruncSeries, euler_transform, inverse_euler_transform
+from trivalent.series import TruncSeries
 
 Q = Fraction
 
@@ -59,29 +58,9 @@ def test_dense_route_small_coefficients():
     assert dense.integer_coefficients()[1:] == [1, 1, 2, 2, 1, 8, 6, 7, 14]
 
 
-def test_disconnected_types_small():
-    types = disconnected_types_series(7)
-    assert types.integer_coefficients() == [1, 1, 2, 4, 7, 10, 24, 37]
-
-
 def test_dense_route_cap():
     with pytest.raises(ValueError):
         conjugacy_class_series_dense(25)
-
-
-def test_unpointed_is_moebius_log_of_disconnected_types():
-    # past the dense cap, so the factoring is checked where only it runs
-    order = 40
-    for general in (False, True):
-        types = disconnected_types_series(order, general)
-        assert inverse_euler_transform(types) == conjugacy_class_series(order, general)
-
-
-def test_euler_transform_of_unpointed_gives_disconnected_types():
-    order = 40
-    for general in (False, True):
-        assert euler_transform(conjugacy_class_series(order, general)) == \
-            disconnected_types_series(order, general)
 
 
 # --- general flavor ----------------------------------------------------------------

@@ -54,6 +54,8 @@ def test_rejects_non_permutations():
         Diagram([0, 1], [0, 3])
     with pytest.raises(ValueError):
         Diagram([], [])
+    with pytest.raises(ValueError, match="^inv must have 2 entries, got 1$"):
+        Diagram([0, 1], [0])
 
 
 @pytest.mark.parametrize("build, message", [
@@ -372,7 +374,8 @@ PARSE_ERRORS = [
     ("n=2; n=2", "duplicate field 'n'", 1, 6),
     ("n=x; rot=[]; inv=[]", "field 'n' is not an integer: 'x'", 1, 1),
     ("n=2; rot=0,1; inv=[1,0]", "field 'rot' must be a bracketed list", 1, 6),
-    ("n=2; rot=[0,1]; inv=[1,1]", "inv is not a permutation: image 1 repeated", 1, 6),
+    ("n=2; rot=[0,1]; inv=[1,1]", "inv is not a permutation: image 1 repeated", 1, 17),
+    ("n=2; rot=[0,1]; inv=[2,0]", "inv image 2 out of range 0..1", 1, 17),
     ("n=0; rot=[]; inv=[]", "a diagram needs at least one arc", 1, 6),
     ("\n\n  n=1;rot=[0];inv=[0];\n  bogus", "expected key=value, got 'bogus'", 4, 3),
     ("n=2;\nrot=[0,0];\ninv=[1,0]", "rot is not a permutation: image 0 repeated", 2, 1),
@@ -414,9 +417,9 @@ def _planted(rot_edits, inv_edits):
 # one fault planted near the end of a large diagram
 PARSE_ERRORS += [
     (_planted({2998: 3000}, {}), "rot image 3000 out of range 0..2999", 2, 1),
-    (_planted({}, {2999: 2998}), "inv is not a permutation: image 2998 repeated", 2, 1),
+    (_planted({}, {2999: 2998}), "inv is not a permutation: image 2998 repeated", 3, 1),
     (_planted({}, {2990: 2993, 2993: 2996, 2996: 2990}),
-     "inv is not an involution (at arc 2990)", 2, 1),
+     "inv is not an involution (at arc 2990)", 3, 1),
     (_planted({}, {2995: 2995, 2997: 2997}), "diagram is not connected", 2, 1),
 ]
 

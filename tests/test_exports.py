@@ -3,8 +3,9 @@
 A name in `trivalent.__all__`, or a top-level function or class of any
 module, that no module refers to outside its own definition serves no verb
 and no oracle; it should be deleted rather than kept.  Imports do not count
-as uses, and neither does `__init__.py`, which only re-exports.  The
-README's library examples run as written.
+as uses, and neither does `__init__.py`, which only re-exports.  Every
+name a test module imports is used in that module.  The README's library
+examples run as written.
 """
 
 import ast
@@ -72,3 +73,21 @@ def test_every_top_level_definition_is_used_inside_the_package():
 def test_readme_examples_run_as_documented():
     result = doctest.testfile(README, module_relative=False, encoding="utf-8")
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_every_test_module_uses_its_imports():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    unused = []
+    for name in sorted(os.listdir(tests)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(tests, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s: %s" % (name, alias.asname or alias.name.split(".")[0])
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
