@@ -94,7 +94,7 @@ def _load_cached(path: str, kind: str, general: bool):
         if data["sha256"] != _digest(data["coefficients"]):
             raise ValueError("coefficient digest mismatch")
         return [int(c) for c in data["coefficients"]]
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(

@@ -29,24 +29,24 @@ where c[k][n] is the (rational) condensed coefficient built from the two
 per-column fixed-point counts.
 
 Arithmetic.  Both `subgroup_series` (column 1) and `conjugacy_class_series`
-(columns 1..N) enter residues in `_column_logs`, which runs modulo one prime
-power M = P^e, P the least prime above the order N (`_modulus`), and takes
-each column's kernel from one seam, `_column_kernel`.  A general column
-satisfies a first-order equation, so its log comes as exact integers from
-the recurrence of its inverse series (`_general_log_derivative`), about
-m^2/4 products for a column of length m.  A trivalent column divides by
-k^n·n!, units modulo M whose inverses all come from one modular inversion of
-N! (`_inverses`); a division-free recurrence on residues (`_log_derivative`)
-takes its log in about m^2/2 products, each with one small factor.  For the
-class counts that is about 0.4·N^2 and 0.8·N^2 products.  The residues of
-n·count are lifted once (`_lift`): every count has an a priori bound
-(`_bounds`), M exceeds 2^64 times it, and a residue that is not n times a
-count within its bound raises `ValueError`.  The general kernel computes
-exact integers: a fault there gives small wrong integers, which `_lift`'s
-2^-64 argument does not cover.  On a 2-core x86 host with Python 3.11.7 the
-index-500 series take 0.03–0.16 s each.  Their oracle is
-`selftest.check_modular_vs_fraction`: one `TruncSeries.log` of each
-`_condensed_column` on `Fraction`s checks each kernel and both series.
+(columns 1..N) take each column's kernel, its k·B_j as exact integers, from
+one seam, `_column_kernel`, and sum and Moebius-invert them in integers.  A
+general column satisfies a first-order equation, so its log comes from the
+recurrence of its inverse series (`_general_log_derivative`), about m^2/4
+products for a column of length m.  A trivalent column divides by k^n·n!,
+so its kernel alone runs modulo M = P^e, P the least prime above N
+(`_modulus`), where those are units inverted by one inversion of N!
+(`_inverses`); a division-free recurrence (`_log_derivative`) takes its log
+in about m^2/2 products, each with one small factor, and as M exceeds every
+k·B_j the residues are the integers.  For the class counts that is about
+0.4·N^2 and 0.8·N^2 products.  `_lift` refuses an n·c_n that is not n times
+a count between 0 and its a priori bound (`_bounds`).  A wrong trivalent
+residue escapes it with probability about n·2^-64 (`_log_derivative`); a
+wrong general kernel gives small wrong integers, which that argument does
+not cover.  On a 2-core x86 host with Python 3.11.7 the index-500 series
+take 0.03–0.16 s each.  Their oracle is `selftest.check_modular_vs_fraction`:
+one `TruncSeries.log` of each `_condensed_column` on `Fraction`s checks each
+kernel, trivalent residues included, and both series.
 
 The six-term recurrence for a*_n (quartic/quintic polynomial coefficients)
 mirrors the holonomic equation satisfied by the defining exponentials; it is
@@ -119,36 +119,26 @@ def subgroup_series(order: int, general: bool = False) -> TruncSeries:
 
     Pointing the labeled series with t·d/dt yields the type series directly
     because pointed connected diagrams have no automorphisms, so the counts
-    are t·d/dt log of the k = 1 column, taken modulo one prime power.
+    are t·d/dt log of the k = 1 column: its kernel's entries.
     """
-    lg, modulus, bounds = _column_logs(order, general, 1)
-    return _lift([n * v % modulus for n, v in enumerate(lg)], bounds)
-
-
-def _column_logs(order: int, general: bool, columns: int) -> tuple:
-    """(lg, modulus, bounds): lg[n], n = 0..order, is the t^n coefficient of
-    t·d/dt log of the product of the condensed columns k = 1..columns modulo
-    `modulus`, and `bounds` are the bounds `_lift` checks.  Column k, a
-    series in t^k, puts k·B_j = kernel(k)[j] at t^{kj}."""
-    kernel, modulus, bounds = _column_kernel(order, general)
-    lg = [0] * (order + 1)
-    for k in range(1, columns + 1):
-        for j, v in enumerate(kernel(k)[1:], 1):
-            lg[k * j] = (lg[k * j] + v) % modulus
-    return lg, modulus, bounds
+    kernel, bounds = _column_kernel(order, general)
+    return _lift([n * v for n, v in enumerate(kernel(1))], bounds)
 
 
 def _column_kernel(order: int, general: bool) -> tuple:
-    """(kernel, modulus, bounds): kernel(k) is condensed column k's k·B_j,
-    exact (general flavor) or modulo `modulus` (trivalent).  Both series and
-    their `Fraction` oracle take each column's kernel from here."""
+    """(kernel, bounds): kernel(k) is condensed column k's k·B_j as exact
+    integers, and `bounds` are the bounds `_lift` checks.  Both series and
+    their `Fraction` oracle take each column's kernel from here; only the
+    trivalent kernel runs modulo M, whose residues are the integers."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0, got %d" % order)
     bounds = _bounds(order, general)
-    modulus = _modulus(order, max(bounds))
     if general:
-        return (lambda k: _general_log_derivative(k, order // k)), modulus, bounds
+        return (lambda k: _general_log_derivative(k, order // k)), bounds
+    modulus = _modulus(order, max(bounds))
     inverses = _inverses(order, modulus)
     return (lambda k: _log_derivative(_residue_column(k, order // k, modulus, inverses),
-                                      modulus, k)), modulus, bounds
+                                      modulus, k)), bounds
 
 
 def _bounds(order: int, general: bool) -> list:
@@ -171,8 +161,8 @@ def _bounds(order: int, general: bool) -> list:
 def _modulus(order: int, bound: int) -> int:
     """P^e for the least prime P > order and the least e with P^e > 2^64·bound.
 
-    Every divisor of the columns, k^n·n! with all factors <= order, is then
-    a unit, so the counts are computed as residues and lifted once (`_lift`).
+    Every divisor of the trivalent columns, k^n·n! with all factors <=
+    order, is then a unit, and M exceeds every k·B_j (`_log_derivative`).
     """
     prime = max(order + 1, 2)
     while any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
@@ -215,9 +205,15 @@ def _residue_column(k: int, n_max: int, modulus: int, inverses) -> list:
 def _log_derivative(column: list, modulus: int, k: int) -> list:
     """k·B_m modulo `modulus`, B_m = m·(log A)_m for the series A = column
     (A_0 = 1), by the division-free recurrence k·B_m = k·m·A_m -
-    sum_{j<m} k·B_j·A_{m-j} (from t·(log A)'·A = t·A').  On a trivalent
-    column each k·B_m is a nonnegative integer below M (under 2^700 against
-    a 745-bit M at N = 500), so the residue is that integer."""
+    sum_{j<m} k·B_j·A_{m-j} (from t·(log A)'·A = t·A').
+
+    The residues are the exact k·B_m: on a trivalent column each is a
+    nonnegative integer (the `Fraction` oracle checks it) and a term of
+    lg[n] = sum_{d | n} d·c_d, n = k·m, whose class counts c_d are within
+    their bounds b_d, so k·B_m <= sigma(n)·max b_d < 2^64·max b_d < M
+    (under 2^700 against a 745-bit M at N = 500).  A fault in the column or
+    here leaves a residue off by a nearly uniform value in [0, M), so the
+    n·c_n it enters passes `_lift` with probability about n·2^-64."""
     b = [0] * len(column)
     for m in range(1, len(column)):
         b[m] = (k * m * column[m] - sum(map(mul, b[1:m], column[m - 1:0:-1]))) % modulus
@@ -241,26 +237,24 @@ def _general_log_derivative(k: int, n_max: int) -> list:
     return [0] + [-v for v in g[3:]]
 
 
-def _lift(residues: list, bounds: list) -> TruncSeries:
-    """The counts c_n from the residues of n·c_n, n >= 1 (c_0 = 0).
+def _lift(scaled: list, bounds: list) -> TruncSeries:
+    """The counts c_n from the exact integers n·c_n = scaled[n], n >= 1
+    (c_0 = 0).
 
-    As c_n <= bounds[n], n < 2^64 and the modulus exceeds 2^64 times every
-    bound, n·c_n is its own residue.  A residue that is not a multiple of n,
-    or whose quotient exceeds the bound, is a fault in the kernel: raise
-    rather than return it.  A wrong residue escapes with probability about
-    2^-64.  The message leaves the residue out: it can pass the int/str
-    digit limit.
+    A value that is not n times a count between 0 and bounds[n] is a fault
+    in a kernel: raise rather than return it.  The message leaves the value
+    out: it can pass the int/str digit limit.
     """
-    counts = [0] * len(residues)
-    for n in range(1, len(residues)):
-        count, rest = divmod(residues[n], n)
-        if rest or count > bounds[n]:
+    counts = [0] * len(scaled)
+    for n in range(1, len(scaled)):
+        count, rest = divmod(scaled[n], n)
+        if rest or not 0 <= count <= bounds[n]:
             raise ValueError(
                 "coefficient of t^%d: the residue is not %d times a count within its bound"
                 % (n, n)
             )
         counts[n] = count
-    return TruncSeries(len(residues) - 1, counts)
+    return TruncSeries(len(scaled) - 1, counts)
 
 
 def _condensed_column(k: int, n_max: int, general: bool) -> list:
@@ -283,17 +277,22 @@ def conjugacy_class_series(order: int, general: bool = False) -> TruncSeries:
 
     Takes the log of the condensed Hadamard product column by column on
     compressed coefficient lists, then applies Moebius inversion, so the
-    truncated series never materializes partition-many terms.  Everything
-    runs modulo the prime power of `_column_logs` and is lifted once.
+    truncated series never materializes partition-many terms, all in exact
+    integers.
     """
-    lg, modulus, bounds = _column_logs(order, general, order)
+    kernel, bounds = _column_kernel(order, general)
+    # column k, a series in t^k, puts k·B_j at t^{kj}
+    lg = [0] * (order + 1)
+    for k in range(1, order + 1):
+        for j, v in enumerate(kernel(k)[1:], 1):
+            lg[k * j] += v
     # lg[n] = sum_{d | n} d·c_d, so n·c_n = sum_{r | n} mu(r)·lg[n/r]
     mu = moebius_sieve(order)
     out = [0] * (order + 1)
     for r in range(1, order + 1):
         if mu[r]:
             for i in range(1, order // r + 1):
-                out[r * i] = (out[r * i] + mu[r] * lg[i]) % modulus
+                out[r * i] += mu[r] * lg[i]
     return _lift(out, bounds)
 
 

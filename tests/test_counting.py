@@ -95,7 +95,8 @@ def test_general_pointed_matches_census():
 
 
 def test_modular_kernel_equals_fraction_oracles_to_60():
-    # each order picks its own prime and exponent, down to P = 2 at order 1
+    # each order picks its own trivalent prime and exponent, down to P = 2 at
+    # order 1; the general kernel runs without one
     for order in range(1, 61):
         check_modular_vs_fraction(order)
 
@@ -117,8 +118,8 @@ def _with_one_entry_off(kernel, column):
 def _seam_with_one_entry_off(seam, column):
     """`seam` handing out its kernel with entry 2 for column `column` raised by 1."""
     def wrong(order, general):
-        kernel, modulus, bounds = seam(order, general)
-        return _with_one_entry_off(kernel, column), modulus, bounds
+        kernel, bounds = seam(order, general)
+        return _with_one_entry_off(kernel, column), bounds
     return wrong
 
 
@@ -134,6 +135,22 @@ def test_fraction_oracle_names_a_faulty_column_kernel(monkeypatch, name, flavor)
         check_modular_vs_fraction(40)
     with pytest.raises(ValueError, match="is not"):
         conjugacy_class_series(40, flavor == "general")
+
+
+def test_general_series_compute_no_modulus(monkeypatch):
+    def no_modulus(order, bound):
+        raise AssertionError("the general kernel took a modulus")
+
+    expected = subgroup_series(40, True), conjugacy_class_series(40, True)
+    monkeypatch.setattr(counting, "_modulus", no_modulus)
+    assert (subgroup_series(40, True), conjugacy_class_series(40, True)) == expected
+
+
+@pytest.mark.parametrize("series", [subgroup_series, conjugacy_class_series])
+@pytest.mark.parametrize("general", [False, True])
+def test_series_reject_a_negative_order(series, general):
+    with pytest.raises(ValueError, match="truncation order must be >= 0, got -1"):
+        series(-1, general)
 
 
 def test_modulus_is_the_least_power_of_the_least_prime_above_the_order():
@@ -163,6 +180,9 @@ def test_lift_rejects_a_residue_above_its_bound():
     assert counting._lift([0, 1, 8], [0, 1, 4]) == TruncSeries(2, [0, 1, 4])
     with pytest.raises(ValueError, match=r"t\^2: the residue is not 2 times a count within its bound"):
         counting._lift([0, 1, 10], [0, 1, 4])
+    # exact sums can be negative, where residues could not
+    with pytest.raises(ValueError, match=r"t\^2: the residue is not 2 times a count within its bound"):
+        counting._lift([0, 1, -2], [0, 1, 4])
 
 
 def test_lift_rejects_a_residue_that_is_no_multiple():
