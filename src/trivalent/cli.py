@@ -7,11 +7,15 @@ enumeration), `decide` (subgroup relations on diagram files), `export`
 All structured output is JSON on stdout with keys in a fixed order and big
 integers rendered as decimal strings, so results are byte-stable and safe
 for consumers without big-integer support.  Diagnostics go to stderr.
+`count` makes each string once, through `decimal`, so it never changes the
+int/str digit limit; its advisory cache serves canonical decimal strings as
+stored, once the format fields and the SHA-256 digest check out.
 
 Exit codes: 0 success (a `decide` answer of false is still success: the
-answer is the payload), 2 usage error, 3 input error, 4 internal invariant
-failure (self-test mismatch, or a `ValueError` from the pipelines: every
-user-input path raises `InputError` or `DiagramParseError` instead).
+answer is the payload), 1 stdout was closed before the output was written,
+2 usage error, 3 input error, 4 internal invariant failure (self-test
+mismatch, or a `ValueError` from the pipelines: every user-input path raises
+`InputError` or `DiagramParseError` instead).
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
+from decimal import Decimal
 
 from . import census as census_mod
 from . import counting
@@ -39,6 +45,7 @@ from .diagram import automorphism_order, is_normal  # noqa: F401
 from .diagram import pointed_morphism, pointed_morphism_conflict  # noqa: F401
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
@@ -50,6 +57,7 @@ MAX_COUNT_INDEX = 5000
 
 CACHE_ENV = "TRIVALENT_CACHE_DIR"
 CACHE_FORMAT_VERSION = 2
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 
 
 class InputError(Exception):
@@ -84,16 +92,20 @@ def _load_cached(path: str, kind: str, general: bool):
     try:
         with open(path, "r", encoding="ascii") as handle:
             data = json.load(handle)
+        strings = data["coefficients"]
         if (
             data["format_version"] != CACHE_FORMAT_VERSION
             or data["kind"] != kind
             or data["general"] != general
-            or data["max"] != len(data["coefficients"])
+            or data["max"] != len(strings)
         ):
             raise ValueError("inconsistent cache fields")
-        if data["sha256"] != _digest(data["coefficients"]):
+        if data["sha256"] != _digest(strings):
             raise ValueError("coefficient digest mismatch")
-        return [int(c) for c in data["coefficients"]]
+        # `_store_cached` writes only ASCII digits, with no sign or leading zero
+        if type(strings) is not list or not all(map(_DECIMAL.fullmatch, strings)):
+            raise ValueError("non-canonical coefficient")
+        return strings
     except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -104,8 +116,7 @@ def _load_cached(path: str, kind: str, general: bool):
         return None
 
 
-def _store_cached(path: str, kind: str, general: bool, coefficients) -> None:
-    strings = [str(c) for c in coefficients]
+def _store_cached(path: str, kind: str, general: bool, strings) -> None:
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "kind": kind,
@@ -132,19 +143,19 @@ def _store_cached(path: str, kind: str, general: bool, coefficients) -> None:
 
 
 def _count_coefficients(kind: str, max_order: int, general: bool):
-    """Coefficients for n = 1..max_order, consulting the advisory cache."""
+    """Decimal strings of the coefficients n = 1..max_order, cache first."""
     path = _cache_path(kind, general)
     if path is not None:
         cached = _load_cached(path, kind, general)
         if cached is not None and len(cached) >= max_order:
             return cached[:max_order]
-    compute = (
-        counting.subgroup_series if kind == "pointed" else counting.conjugacy_class_series
-    )
-    coefficients = compute(max_order, general).integer_coefficients()[1:]
+    compute = counting.subgroup_series if kind == "pointed" else counting.conjugacy_class_series
+    # str(Decimal(c)) is str(c) for an int c >= 0, without the interpreter's
+    # int/str digit limit, which general coefficients pass from index 2833
+    strings = [str(Decimal(c)) for c in compute(max_order, general).integer_coefficients()[1:]]
     if path is not None:
-        _store_cached(path, kind, general, coefficients)
-    return coefficients
+        _store_cached(path, kind, general, strings)
+    return strings
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +169,9 @@ def _emit(payload) -> None:
 def _cmd_count(args) -> int:
     if not 1 <= args.max <= MAX_COUNT_INDEX:
         raise UsageError("--max must be in 1..%d, got %d" % (MAX_COUNT_INDEX, args.max))
-    # general coefficients pass Python's 4300-digit limit on int/str
-    # conversion from about index 2833; lift it for the cache and the output
-    # only, so that diagram files are still parsed under it, and restore the
-    # caller's value
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        coefficients = _count_coefficients(args.kind, args.max, args.general)
-        _emit(
-            {
-                "kind": args.kind,
-                "max": args.max,
-                "general": args.general,
-                "coefficients": [str(c) for c in coefficients],
-            }
-        )
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
+    coefficients = _count_coefficients(args.kind, args.max, args.general)
+    _emit({"kind": args.kind, "max": args.max, "general": args.general,
+           "coefficients": coefficients})
     return EXIT_OK
 
 
@@ -377,7 +371,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout then fails here, not at exit
+        return code
+    except BrokenPipeError:  # `trivalent ... | head`: quiet the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

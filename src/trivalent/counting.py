@@ -250,7 +250,7 @@ def _lift(scaled: list, bounds: list) -> TruncSeries:
         count, rest = divmod(scaled[n], n)
         if rest or not 0 <= count <= bounds[n]:
             raise ValueError(
-                "coefficient of t^%d: the residue is not %d times a count within its bound"
+                "coefficient of t^%d: the kernel sum is not %d times a count within its bound"
                 % (n, n)
             )
         counts[n] = count

@@ -3,15 +3,15 @@
 Re-derives small and large values through independent routes and compares
 them: brute-force enumeration against formulas, the census's canonical
 augmentation against a dictionary of canonical codes, dense against
-separable pipelines, the modular counts and each column kernel against
-their `Fraction` routes, recurrence against closed form, the CLI's pointed
+separable pipelines, both series and each column kernel against their
+`Fraction` routes, recurrence against closed form, the CLI's pointed
 decisions against every map between small diagram files, and everything
 against the frozen reference sequences.
-`quick` stays at truncation order 20 (60 for the modular counts and the
+`quick` stays at truncation order 20 (60 for both series and the
 column kernels against `Fraction`), census size 8 against the series, sizes
 6 and 5 (trivalent, general) against brute force and 12 and 7 against
 canonical codes; `full` adds the order-50 tables, census size 9, the
-recurrence against the closed form to order 500, and the modular counts and
+recurrence against the closed form to order 500, and both series and the
 column kernels against `Fraction` and the frozen values at 500
 (`modular-vs-fraction-500`).
 

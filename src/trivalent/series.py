@@ -13,8 +13,8 @@ operations.  The recurrences live in `TruncSeries.exp` and `TruncSeries.log`
 only: the Euler transforms call both, and the `Fraction` oracle of the
 counting pipelines, `selftest.check_modular_vs_fraction`, calls `log` once
 on each compressed cycle-index column.  The production counts do not come
-through here: `counting` runs them modulo a prime power and only wraps
-the lifted integers in a `TruncSeries`.
+through here: `counting` sums exact integer column logs (only its trivalent
+kernel works modulo a prime power) and wraps the counts in a `TruncSeries`.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ INDEX2_TEXT = "n=2; rot=[0,1]; inv=[1,0]; base=0"
 SIZE5_A = "n=5; rot=[0,2,3,1,4]; inv=[1,0,2,4,3]; base=0"
 SIZE5_B = "n=5; rot=[0,2,3,1,4]; inv=[1,0,2,4,3]; base=3"
 DISCONNECTED = "n=2; rot=[0,1]; inv=[0,1]"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -153,7 +154,11 @@ def test_coefficients_past_4300_digits(tmp_path, monkeypatch, capsys, cached):
         calls.append(order)
         return TruncSeries(order, [0, 7 * 10**4999 + 3])
 
+    def no_switch(limit):
+        raise AssertionError("count switched the int/str digit limit")
+
     monkeypatch.setattr(counting, "subgroup_series", subgroup_series)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", no_switch, raising=False)
     if cached:
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
     else:
@@ -165,6 +170,44 @@ def test_coefficients_past_4300_digits(tmp_path, monkeypatch, capsys, cached):
         assert json.loads(out)["coefficients"] == [digits]
     assert len(calls) == (1 if cached else 2)  # the second call read the cache
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_real_coefficients_past_the_digit_limit(tmp_path, monkeypatch, capsys):
+    # general coefficients reach 858 digits by index 700: past a 640-digit
+    # limit, computed and then read back from the cache
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    _, expected, _ = run(capsys, "count", "pointed", "--general", "--max", "700")
+    assert max(map(len, json.loads(expected)["coefficients"])) > 640
+    env = dict(os.environ, PYTHONPATH=SRC, **{cli.CACHE_ENV: str(tmp_path)})
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    argv = [sys.executable, "-X", "int_max_str_digits=640", "-m", "trivalent.cli",
+            "count", "pointed", "--general", "--max", "700"]
+    inodes = []
+    for _ in range(2):
+        result = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+        inodes.append(os.stat(tmp_path / "count-pointed-general.json").st_ino)
+    assert inodes[0] == inodes[1]  # the second run read the cache, not rewrote it
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["count", "classes", "--max", "9"], "1"),
+    (["count", "classes", "--max", "9"], ""),
+    (["census", "--size", "9", "--list", "--dot"], ""),
+], ids=["count-unbuffered", "count-buffered", "census-past-the-buffer"])
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # `trivalent ... | head`, made deterministic: the read end is closed
+    # before the spawn, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    env.pop(cli.CACHE_ENV, None)
+    try:
+        result = subprocess.run([sys.executable, "-m", "trivalent.cli", *argv], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 # --- cache -----------------------------------------------------------------
@@ -223,6 +266,25 @@ def test_edited_cache_value_is_not_served(tmp_path, monkeypatch, capsys):
     assert "digest" in err and "recomputing" in err
     # the rewrite leaves no temporary file behind
     assert os.listdir(cache_dir) == ["count-classes.json"]
+
+
+@pytest.mark.parametrize("entry", ["022", "2_2", "+22"])
+def test_non_canonical_cache_entry_is_not_served(tmp_path, monkeypatch, capsys, entry):
+    # int() reads each of these as 22, the true index-6 count, but the cache
+    # only ever stores canonical decimal text, so the entry is corruption
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+    _, uncached, _ = run(capsys, "count", "pointed", "--max", "9")
+    cache_file = cache_dir / "count-pointed.json"
+    data = json.loads(cache_file.read_text())
+    assert data["coefficients"][5] == "22"
+    data["coefficients"][5] = entry
+    data["sha256"] = hashlib.sha256("\n".join(data["coefficients"]).encode("ascii")).hexdigest()
+    cache_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "count", "pointed", "--max", "9")
+    assert (code, out) == (0, uncached)
+    assert "warning: ignoring corrupt cache" in err and "recomputing" in err
+    assert json.loads(cache_file.read_text())["coefficients"][5] == "22"
 
 
 def test_unwritable_cache_warns_and_keeps_the_output(tmp_path, monkeypatch, capsys):
@@ -673,8 +735,8 @@ def test_decide_non_utf8_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_decide_overlong_integer_is_rejected_under_the_digit_limit(tmp_path, capsys):
-    # only `count` lifts Python's int/str digit limit; a diagram file is
-    # parsed under it, so a 5000-digit field is not an integer
+    # no verb lifts Python's int/str digit limit; a diagram file is parsed
+    # under it, so a 5000-digit field is not an integer
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -765,8 +827,7 @@ def test_selftest_names_first_failing_check(monkeypatch, capsys):
 def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI call pays the import; dataclasses pulls in inspect, ast, dis,
     # and only `selftest` needs the oracles
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     probe = ("import sys, trivalent.cli; print(sorted("
              "{'dataclasses', 'inspect', 'trivalent.selftest'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,

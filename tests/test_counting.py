@@ -176,17 +176,17 @@ def test_bounds_are_labeled_pairs_over_factorials():
 
 
 def test_lift_rejects_a_residue_above_its_bound():
-    # the residues are of n·c_n: 1·1 and 2·4 lift to 1 and 4
+    # the values are n·c_n: 1·1 and 2·4 lift to 1 and 4
     assert counting._lift([0, 1, 8], [0, 1, 4]) == TruncSeries(2, [0, 1, 4])
-    with pytest.raises(ValueError, match=r"t\^2: the residue is not 2 times a count within its bound"):
+    with pytest.raises(ValueError, match=r"t\^2: the kernel sum is not 2 times a count within its bound"):
         counting._lift([0, 1, 10], [0, 1, 4])
     # exact sums can be negative, where residues could not
-    with pytest.raises(ValueError, match=r"t\^2: the residue is not 2 times a count within its bound"):
+    with pytest.raises(ValueError, match=r"t\^2: the kernel sum is not 2 times a count within its bound"):
         counting._lift([0, 1, -2], [0, 1, 4])
 
 
 def test_lift_rejects_a_residue_that_is_no_multiple():
-    with pytest.raises(ValueError, match=r"t\^3: the residue is not 3 times"):
+    with pytest.raises(ValueError, match=r"t\^3: the kernel sum is not 3 times"):
         counting._lift([0, 1, 2, 7], [0, 1, 2, 6])
 
 
