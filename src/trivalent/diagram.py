@@ -31,7 +31,11 @@ comparing the whole rot array before the inv array.  That order is
 normative for the text format: codes are comparable across implementations
 only if the order matches.  The search prunes a base at the first rot entry
 above the best so far, and a full tie with the best base is an automorphism
-whose orbits it skips, so it is near-linear on rigid diagrams.
+whose orbits it skips.  When some arc is rot-fixed, only those arcs can
+start the least rot array, and a lockstep pass of O(n) entries picks the
+first of them: the search costs that pass plus one full pass per
+automorphism generator and per improvement of the best base.  Otherwise
+every arc is a base, and the worst case is one full pass per base.
 
 Automorphisms are pointed maps (d, 0) -> (d, a), and Aut acts freely on the
 arcs, so |Aut| is the size of any Aut-orbit.  The bases that tie with the
@@ -417,6 +421,67 @@ def _merge_orbits(parent: list, perm) -> None:
             parent[rx] = ry
 
 
+# The lockstep pass stops once its bases have emitted this many rot entries
+# per arc.  At 2 it would leave bead rings (`selftest.bead_ring`) quadratic:
+# their c leaves, on 4c + 3 arcs, separate only after 12 steps and 12c - 1
+# entries.
+_LOCKSTEP_BUDGET = 3
+
+
+def _lockstep_winner(rot, rot_inv, inv, bases) -> tuple:
+    """The least of `bases` (in increasing order) still in the lead after
+    advancing them together, one rot entry each per step (labeled as in
+    `_canonical_form`), keeping the bases
+    whose entry is least; and the union-find of the automorphisms found on
+    the way, or None.  The pass stops when one base is left, after a full
+    tie, or at `_LOCKSTEP_BUDGET` * n entries.  Each time n more entries
+    were emitted, a closure tests whether an automorphism maps the first
+    base in the lead onto the second; if one does, its orbits are merged
+    and the rest of the first base's class leaves the lead.  The first base
+    stays the least arc of its class, as no arc of its orbit falls behind.
+    """
+    n = len(rot)
+    alive = [({base: 0}, [base]) for base in bases]
+    parent = None
+    emitted = 0
+    check = n  # the emitted count at which the next closure runs
+    for i in range(n):
+        if len(alive) == 1 or emitted >= _LOCKSTEP_BUDGET * n:
+            break
+        emitted += len(alive)
+        entries = []
+        for label, order in alive:
+            x = order[i]
+            y = rot[x]
+            r = label.get(y)
+            if r is None:
+                r = label[y] = len(order)
+                order.append(y)
+            entries.append(r)
+            y = rot_inv[x]
+            if y not in label:
+                label[y] = len(order)
+                order.append(y)
+            y = inv[x]
+            if y not in label:
+                label[y] = len(order)
+                order.append(y)
+        least = min(entries)
+        alive = [state for state, r in zip(alive, entries) if r == least]
+        if len(alive) > 1 and emitted >= check:
+            check += n
+            first = alive[0][1][0]
+            d = _trusted_diagram(rot, inv)
+            automorphism, _ = _close(d, first, d, alive[1][1][0])
+            if automorphism is not None:
+                if parent is None:
+                    parent = list(range(n))
+                _merge_orbits(parent, automorphism)
+                alive = alive[:1] + [state for state in alive[1:]
+                                     if _find(parent, state[1][0]) != first]
+    return alive[0][1][0], parent
+
+
 def _canonical_form(rot, inv) -> tuple:
     """The (rot, inv) pair of the least relabeling over all base arcs of the
     diagram with these permutations, and its |Aut|.
@@ -430,15 +495,29 @@ def _canonical_form(rot, inv) -> tuple:
     a base whose orbit already holds a smaller (hence examined) arc is
     skipped, since it yields the same arrays.  |Aut| is the size of the best
     base's class, or 1 when no automorphism was found.
+
+    Entry 0 is 0 exactly when rot fixes the base, so when some arc is
+    rot-fixed only those arcs are bases, and automorphisms permute them.
+    When they are some but not all arcs, the search visits the winner of
+    `_lockstep_winner` first, with its union-find, then the others in
+    increasing order, so every class root is still visited before the rest
+    of its class.  The cost is then O(n) for the lockstep pass, plus one
+    full pass per automorphism generator and per improvement of the best
+    base.  Without a rot-fixed arc every arc is a base, in arc order, and
+    the worst case is one full pass per base.
     """
     n = len(rot)
     rot_inv = [0] * n
     for a, b in enumerate(rot):
         rot_inv[b] = a
-    label = [-1] * n
+    bases = [a for a, b in enumerate(rot) if a == b] or range(n)
     parent = None  # union-find of the automorphism orbits, once one is found
+    if 1 < len(bases) < n:
+        first, parent = _lockstep_winner(rot, rot_inv, inv, bases)
+        bases = [first] + [a for a in bases if a != first]
+    label = [-1] * n
     best_rot = best_inv = best_order = None
-    for base in range(n):
+    for base in bases:
         if parent is not None and _find(parent, base) != base:
             continue
         label[base] = 0
@@ -498,10 +577,13 @@ def canonical_code(d: Diagram) -> bytes:
     isomorphic iff their codes are equal.
 
     The search emits each base's rot array one entry at a time and drops the
-    base at the first entry above the best so far, which makes it
-    near-linear on rigid diagrams.  A full tie with the best base is an
-    automorphism outside the group found so far (at most log2 |Aut| of
-    them), and bases in the orbit of an examined base are skipped.
+    base at the first entry above the best so far.  A full tie with the
+    best base is an automorphism outside the group found so far (at most
+    log2 |Aut| of them), and bases in the orbit of an examined base are
+    skipped.  When some arc is rot-fixed, only those arcs are bases, and
+    the cost is O(n) plus one full pass per automorphism generator and per
+    improvement of the best base; otherwise the worst case is one full pass
+    per base.
     """
     rot, inv, _ = _canonical_form(d.rot, d.inv)
     return _encode(d.n, rot, inv)

@@ -416,18 +416,44 @@ def psl2_regular(p):
     return d
 
 
-def _random_lift(rot, inv, sheets, rng):
+def bead_ring(c):
+    """A rigid diagram on 4c + 3 arcs: a ring of c + 1 triangles
+    (3i, 3i+1, 3i+2), arc 3i+1 paired with arc 3i+3 of the next one (3c+1
+    with 0), and the third arc of each triangle but the last paired with its
+    own rot-fixed leaf 3c+3+i; the last triangle's third arc is folded.  The
+    least base is the leaf next to the leafless triangle, and it comes last
+    of all rot-fixed arcs; in arc order every triangle comes first."""
+    n = 4 * c + 3
+    rot = list(range(n))
+    inv = list(range(n))
+    for i in range(c + 1):
+        a = 3 * i
+        rot[a], rot[a + 1], rot[a + 2] = a + 1, a + 2, a
+        b = 3 * ((i + 1) % (c + 1))
+        inv[a + 1], inv[b] = b, a + 1
+    for i in range(c):
+        leaf = 3 * (c + 1) + i
+        inv[3 * i + 2], inv[leaf] = leaf, 3 * i + 2
+    return diagram.Diagram(rot, inv)
+
+
+def _random_lift(rot, inv, sheets, rng, cyclic=False):
     """The (rot, inv) lists of a random `sheets`-fold cover, connected or not:
     arc a*sheets + i is arc a on sheet i; rot lifts sheet by sheet and inv
     through a random sheet permutation per edge and its inverse (the
     identity on a folded edge), so a -> a // sheets is a morphism onto
-    (rot, inv)."""
+    (rot, inv).  With `cyclic` each permutation is a cyclic shift, so
+    i -> i + 1 on every sheet is an automorphism of the cover."""
     lift = [None] * len(rot)
     for a, b in enumerate(inv):
         if lift[a] is None:
             perm = list(range(sheets))
             if b != a:
-                rng.shuffle(perm)
+                if cyclic:
+                    shift = rng.randrange(sheets)
+                    perm = perm[shift:] + perm[:shift]
+                else:
+                    rng.shuffle(perm)
             lift[a] = perm
             lift[b] = [0] * sheets
             for i, j in enumerate(perm):
@@ -437,10 +463,11 @@ def _random_lift(rot, inv, sheets, rng):
             [inv[a] * sheets + lift[a][i] for a in arcs for i in range(sheets)])
 
 
-def random_cover(d, sheets, rng):
-    """A random connected `sheets`-fold cover of d (`_random_lift`)."""
+def random_cover(d, sheets, rng, cyclic=False):
+    """A random connected `sheets`-fold cover of d (`_random_lift`); with
+    `cyclic`, a regular one whose deck group is cyclic."""
     for _ in range(100):
-        rot, inv = _random_lift(d.rot, d.inv, sheets, rng)
+        rot, inv = _random_lift(d.rot, d.inv, sheets, rng, cyclic)
         if diagram._transitive(rot, inv):
             return diagram.Diagram(rot, inv)
     raise SelfTestFailure("no connected %d-fold cover in 100 attempts" % sheets)
@@ -449,11 +476,16 @@ def random_cover(d, sheets, rng):
 def check_canonical_search(rng, sizes, relabelings):
     """The pruned canonical-code search against the exhaustive oracle, on a
     random connected trivalent diagram of each size, on the regular diagrams
-    of PSL2(F_5) and PSL2(F_7) and a 2-fold cover of the first, and on
-    `relabelings` random relabelings of each."""
+    of PSL2(F_5) and PSL2(F_7) and a 2-fold cover of the first, on bead
+    rings of 43 and 203 arcs, on a cyclic 4-fold cover of a bead ring (its
+    deck group keeps the lifts of a leaf tied until the lockstep pass finds
+    an automorphism between them), on a diagram whose arcs are all
+    rot-fixed, and on `relabelings` random relabelings of each."""
     pool = [random_trivalent(rng, n) for n in sizes]
     pool += [psl2_regular(5), psl2_regular(7)]
     pool.append(random_cover(pool[-2], 2, rng))
+    pool += [bead_ring(10), bead_ring(50), random_cover(bead_ring(3), 4, rng, cyclic=True),
+             diagram.Diagram((0, 1), (1, 0))]
     for d in pool:
         rot, inv = brute_canonical_form(d)
         expected = "%d;%s;%s" % (d.n, ",".join(map(str, rot)), ",".join(map(str, inv)))
@@ -686,7 +718,8 @@ def run_selftest(full: bool) -> bool:
         ("automorphism-orbits", lambda: check_automorphism_orbits(
             list(census.enumerate_size(7).class_representatives)
             + [psl2_regular(5), random_cover(psl2_regular(5), 2, random.Random(6765)),
-               random_trivalent(random.Random(2584), 600), psl2_regular(7)])),
+               random_trivalent(random.Random(2584), 600), psl2_regular(7),
+               random_cover(bead_ring(3), 4, random.Random(4181), cyclic=True)])),
     ]
     if full:
         checks += [

@@ -513,7 +513,12 @@ def _decide_pin_inputs():
     big = selftest.random_cover(psl2_7, 16, random.Random(10946))
     base = rng.randrange(big.n)
     perm = rng.sample(range(big.n), big.n)
+    # a bead ring of 2003 arcs, in the labeling that is worst for a search
+    # in arc order, and a relabeled copy
+    bead = selftest.bead_ring(500)
     return {
+        "bead": bead,
+        "bead_relabeled": bead.relabel(random.Random(1597).sample(range(bead.n), bead.n)),
         "rigid": rigid,
         "rigid_relabeled": rigid_relabeled,
         "psl2_7": psl2_7,
@@ -540,6 +545,8 @@ def _decide_pin_inputs():
      "eb9ecec80fb173a0a2a0bad774ea34a87621e1d94969491c87fb83a5a8c37894"),
     ("isomorphic", ("big_cover", "big_cover_relabeled"),
      "7786a57d7f53864055b350e0c534b2c6946f32ad27de28f0633044777f3990ee"),
+    ("conjugate", ("bead", "bead_relabeled"),
+     "4f3ce1fbf0f989b945df346631f2318fff6ef29077ab1bb12ad7aeeec0ff2e33"),
 ])
 def test_decide_output_bytes_are_pinned(tmp_path, capsys, relation, names, digest):
     # the canonical-code search and the orbit algorithm may change, never
