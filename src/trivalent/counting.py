@@ -37,16 +37,19 @@ products for a column of length m.  A trivalent column divides by k^n·n!,
 so its kernel alone runs modulo M = P^e, P the least prime above N
 (`_modulus`), where those are units inverted by one inversion of N!
 (`_inverses`); a division-free recurrence (`_log_derivative`) takes its log
-in about m^2/2 products, each with one small factor, and as M exceeds every
-k·B_j the residues are the integers.  For the class counts that is about
-0.4·N^2 and 0.8·N^2 products.  `_lift` refuses an n·c_n that is not n times
-a count between 0 and its a priori bound (`_bounds`).  A wrong trivalent
-residue escapes it with probability about n·2^-64 (`_log_derivative`); a
-wrong general kernel gives small wrong integers, which that argument does
-not cover.  On a 2-core x86 host with Python 3.11.7 the index-500 series
-take 0.03–0.16 s each.  Their oracle is `selftest.check_modular_vs_fraction`:
-one `TruncSeries.log` of each `_condensed_column` on `Fraction`s checks each
-kernel, trivalent residues included, and both series.
+in about m^2/2 products, and as M exceeds every k·B_j the residues are the
+integers.  For the class counts that is about 0.4·N^2 and 0.8·N^2 products.
+On the long k = 1 column neither factor is small: at N = 500, M has 745
+bits, the column residues from m = 4 on have 737–745 (median 744), and
+k·B_m has 9, 107, 304 and 670 bits at m = 10, 100, 250 and 499.  `_lift`
+refuses an n·c_n that is not n times a count between 0 and its a priori
+bound (`_bounds`).  A wrong trivalent residue escapes it with probability
+about n·2^-64 (`_log_derivative`); a wrong general kernel gives small wrong
+integers, which that argument does not cover.  On a 2-core x86 host with
+Python 3.11.7 the index-500 series take 0.03–0.16 s each.  Their oracle is
+`selftest.check_modular_vs_fraction`: one `TruncSeries.log` of each
+`_condensed_column` on `Fraction`s checks each kernel, trivalent residues
+included, and both series.
 
 The six-term recurrence for a*_n (quartic/quintic polynomial coefficients)
 mirrors the holonomic equation satisfied by the defining exponentials; it is

@@ -50,6 +50,7 @@ stops at the first failed closure.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 
@@ -78,7 +79,8 @@ def _check_permutation(name: str, images, n: Optional[int] = None) -> tuple:
 
 def _check_arrays(rot, inv) -> tuple:
     """(rot, inv) as tuples, after every check of `Diagram` but connectivity:
-    both permutations of the same n >= 1 arcs, inv an involution."""
+    both permutations of the same n >= 1 arcs, inv an involution.
+    `_parse_arrays` runs it only on arrays its C-speed passes refused."""
     rot = _check_permutation("rot", rot)
     n = len(rot)
     if n < 1:
@@ -226,7 +228,9 @@ def _check_connected(arrays: _Arrays) -> None:
 def _parse_arrays(text: str) -> _Arrays:
     """Every check of `parse_diagram_text` but connectivity, which the
     caller owes before it builds a `Diagram` from the arrays (a base out of
-    range is reported only after it, as the full parse does)."""
+    range is reported only after it, as the full parse does).  Each list is
+    mapped onto one table of n int objects as soon as it is read, so the
+    parsed file holds one int per arc, shared by both arrays."""
 
     def position(offset):
         # 1-based line and column of the first non-space character at or
@@ -287,15 +291,33 @@ def _parse_arrays(text: str) -> _Arrays:
             raise error("field %r has a non-integer entry" % key, seg_offset)
         return entries
 
+    def shared(entries):
+        # entries mapped at C speed onto the table's int objects (an entry
+        # >= n raises IndexError), or left as they are; itemgetter of one
+        # entry gives no tuple, and a negative entry would wrap
+        if len(entries) == len(arcs) > 1 and min(entries) >= 0:
+            try:
+                return itemgetter(*entries)(arcs)
+            except IndexError:
+                pass
+        return entries
+
     n = parse_int("n")
     rot = parse_list("rot")
-    inv = parse_list("inv")
+    arcs = tuple(range(len(rot)))  # the file's one int object per arc
+    rot = shared(rot)
+    inv = shared(parse_list("inv"))
     base = parse_int("base") if "base" in fields else None
     if len(rot) != n or len(inv) != n:
         raise error("n=%d but rot has %d entries and inv has %d" % (n, len(rot), len(inv)),
                     fields["n"][1])
     try:
-        rot, inv = _check_arrays(rot, inv)
+        # with both lists mapped, rot is a permutation when its set has n
+        # entries, and inv an involution (so a permutation) when inv of inv
+        # is the identity; any other file goes to the checks that name a fault
+        if not (type(rot) is type(inv) is tuple and len(set(rot)) == n
+                and itemgetter(*inv)(inv) == arcs):
+            rot, inv = _check_arrays(rot, inv)
     except ValueError as exc:
         # a fault of inv names inv first; every other fault points at rot
         key = "inv" if str(exc).startswith("inv ") else "rot"

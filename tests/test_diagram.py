@@ -10,6 +10,7 @@ from trivalent.diagram import (
     MorphismConflict,
     _trusted_diagram,
     PointedDiagram,
+    _parse_arrays,
     automorphism_order,
     automorphisms,
     barycentric_graph,
@@ -344,12 +345,13 @@ def test_conjugate_subgroups_examples():
 
 
 def test_text_roundtrip():
-    for d in (TERMINAL, INDEX2, CYCLE3, NORMAL6_A, NORMAL6_B):
+    # n = 1 and n = 2 included: itemgetter of a single entry gives no tuple
+    for d in (TERMINAL, INDEX2, Diagram([1, 0], [0, 1]), CYCLE3, NORMAL6_A, NORMAL6_B):
         parsed, base = parse_diagram_text(d.to_text())
         assert parsed == d and base is None
-    p = pointed(NORMAL6_B, 4)
-    parsed, base = parse_diagram_text(p.to_text())
-    assert parsed == NORMAL6_B and base == 4
+        assert type(parsed.rot) is type(parsed.inv) is tuple
+    for p in (pointed(TERMINAL), pointed(INDEX2, 1), pointed(NORMAL6_B, 4)):
+        assert parse_diagram_text(p.to_text()) == (p.diagram, p.base)
 
 
 def test_text_skips_empty_segments():
@@ -405,18 +407,28 @@ def _chain(triangles):
 
 
 def _planted(rot_edits, inv_edits):
-    """The 3000-arc chain as text over three lines, with the edits applied."""
+    """The 3000-arc chain as text over three lines, with the edits applied;
+    an edit is an arc or a raw JSON token."""
     rot, inv = _chain(1000)
     for a, b in rot_edits.items():
         rot[a] = b
     for a, b in inv_edits.items():
         inv[a] = b
-    return "n=%d;\nrot=%s;\ninv=%s" % (len(rot), rot, inv)
+    return "n=%d;\nrot=[%s];\ninv=[%s]" % (
+        len(rot), ", ".join(map(str, rot)), ", ".join(map(str, inv)))
 
 
 # one fault planted near the end of a large diagram
 PARSE_ERRORS += [
     (_planted({2998: 3000}, {}), "rot image 3000 out of range 0..2999", 2, 1),
+    (_planted({}, {2999: -1}), "inv image -1 out of range 0..2999", 3, 1),
+    (_planted({}, {2999: 3000}), "inv image 3000 out of range 0..2999", 3, 1),
+    # a negative entry must not wrap round to the arc it names from the end
+    (_planted({2999: -3}, {}), "rot image -3 out of range 0..2999", 2, 1),
+    (_planted({2999: "true"}, {}), "field 'rot' has a non-integer entry", 2, 1),
+    (_planted({}, {2999: "1.5"}), "field 'inv' has a non-integer entry", 3, 1),
+    (_planted({}, {2999: "[0]"}), "field 'inv' has a non-integer entry", 3, 1),
+    (_planted({2999: 2998}, {}), "rot is not a permutation: image 2998 repeated", 2, 1),
     (_planted({}, {2999: 2998}), "inv is not a permutation: image 2998 repeated", 3, 1),
     (_planted({}, {2990: 2993, 2993: 2996, 2996: 2990}),
      "inv is not an involution (at arc 2990)", 3, 1),
@@ -432,6 +444,87 @@ def test_parse_errors_carry_position():
             parse_diagram_text(text)
         assert (info.value.line, info.value.column) == (line, column)
         assert str(info.value) == "%s (line %d, column %d)" % (message, line, column)
+
+
+def test_parse_shares_one_int_per_arc():
+    # both arrays hold the same n int objects, not one per entry of the text
+    d, _ = parse_diagram_text(_planted({}, {}))
+    assert (d.rot, d.inv) == tuple(map(tuple, _chain(1000)))
+    assert len({id(a) for a in d.rot + d.inv}) == 3000
+
+
+def _parse_outcome(text):
+    try:
+        arrays = _parse_arrays(text)
+    except DiagramParseError as exc:
+        return "error", str(exc)
+    return "arrays", arrays, tuple(map(type, arrays.rot + arrays.inv))
+
+
+def _refuse(*entries):
+    raise IndexError("no C-speed pass")
+
+
+def _faulty_text(rng):
+    """A random diagram text (rot any permutation, inv any involution,
+    connected or not), and the same text with one planted fault."""
+    n = rng.choice([1, 2, 3, rng.randrange(4, 40), rng.randrange(40, 400)])
+    rot = rng.sample(range(n), n)
+    inv = list(range(n))
+    order = rng.sample(range(n), n)
+    for a, b in zip(order[0::2], order[1::2]):
+        if rng.random() < 0.7:
+            inv[a], inv[b] = b, a
+    fields = {"n": n, "rot": rot, "inv": inv, "base": rng.randrange(n)}
+
+    def text():
+        return "n=%s; rot=[%s]; inv=[%s]; base=%s" % (
+            fields["n"], ",".join(map(str, rot)), ",".join(map(str, inv)), fields["base"])
+
+    clean = text()
+    fault = rng.choice(["token", "length", "repeat", "involution", "base"])
+    entries = rng.choice([rot, inv])
+    a = rng.randrange(n)
+    # inv stays a permutation when the images of a and b swap, and stops
+    # being an involution when b is not fixed and a is neither b nor inv[b]
+    moved = [b for b in range(n) if inv[b] != b] if n > 2 else []
+    if fault == "token":
+        entries[a] = rng.choice(["true", "null", "1.5", "[0]", '"1"', "01", "+1", "x", "1e3",
+                                 entries[a] - n, entries[a] + n, -1, n + rng.randrange(9),
+                                 10 ** 20, -10 ** 20])
+    elif fault == "length":
+        if rng.random() < 0.5:
+            fields["n"] = rng.choice([n - 1, n + 1, 0, -n])
+        elif rng.random() < 0.5 and n > 1:
+            del entries[a]
+        else:
+            entries.insert(a, entries[a])
+    elif fault == "repeat" and n > 1:
+        entries[a] = entries[rng.choice([b for b in range(n) if b != a])]
+    elif fault == "involution" and moved:
+        b = rng.choice(moved)
+        a = rng.choice([a for a in range(n) if a not in (b, inv[b])])
+        inv[a], inv[b] = inv[b], inv[a]
+    else:
+        fields["base"] = rng.choice([n, n + 3, -1, "x", "1.0"])
+    return clean, text()
+
+
+def test_parse_matches_the_naming_path(monkeypatch):
+    """On random texts, each with one planted fault, and on the same texts
+    clean, `_parse_arrays` returns the same arrays or raises the same error
+    as when every list is left to `_check_arrays`, which names each fault
+    the way `_check_permutation` and the involution loop do on the lists
+    `json.loads` gives."""
+    rng = random.Random(27)
+    texts = [text for _ in range(2000) for text in _faulty_text(rng)]
+    fast = [_parse_outcome(text) for text in texts]
+    # with itemgetter refused, no list is mapped and no C-speed pass runs
+    monkeypatch.setattr("trivalent.diagram.itemgetter", _refuse)
+    naming = [_parse_outcome(text) for text in texts]
+    assert fast == naming
+    assert all(outcome[0] == "error" for outcome in fast[1::2])
+    assert sum(outcome[0] == "arrays" for outcome in fast[::2]) > 1000
 
 
 # --- barycentric subdivision --------------------------------------------------------
