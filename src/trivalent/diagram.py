@@ -41,7 +41,7 @@ Automorphisms are pointed maps (d, 0) -> (d, a), and Aut acts freely on the
 arcs, so |Aut| is the size of any Aut-orbit.  The bases that tie with the
 best one form one Aut-orbit, and the search merges each into the best
 base's union-find class or skips it within an examined tying base's class:
-that class is the orbit, so |Aut| costs one canonical search.  The orbit
+that class is the orbit, and `automorphism_order` counts it.  The orbit
 algorithm serves normality only: it grows the orbit of arc 0 under the
 automorphisms found so far, runs a closure only for an arc outside it, and
 stops at the first failed closure.
@@ -450,21 +450,19 @@ def _merge_orbits(parent: list, perm) -> None:
 _LOCKSTEP_BUDGET = 3
 
 
-def _lockstep_winner(rot, rot_inv, inv, bases) -> tuple:
+def _lockstep_winner(rot, rot_inv, inv, bases, parent: list) -> int:
     """The least of `bases` (in increasing order) still in the lead after
     advancing them together, one rot entry each per step (labeled as in
-    `_canonical_form`), keeping the bases
-    whose entry is least; and the union-find of the automorphisms found on
-    the way, or None.  The pass stops when one base is left, after a full
-    tie, or at `_LOCKSTEP_BUDGET` * n entries.  Each time n more entries
-    were emitted, a closure tests whether an automorphism maps the first
-    base in the lead onto the second; if one does, its orbits are merged
-    and the rest of the first base's class leaves the lead.  The first base
-    stays the least arc of its class, as no arc of its orbit falls behind.
+    `_canonical_form`), keeping the bases whose entry is least.  It stops
+    when one base is left, after a full tie, or at n * `_LOCKSTEP_BUDGET`
+    entries.  Each time n more entries were emitted, a closure tests whether
+    an automorphism maps the first base in the lead onto the second; if one
+    does, its orbits are merged into the union-find `parent` and the rest of
+    the first base's class leaves the lead.  The first base stays the least
+    arc of its class, as no arc of its orbit falls behind.
     """
     n = len(rot)
     alive = [({base: 0}, [base]) for base in bases]
-    parent = None
     emitted = 0
     check = n  # the emitted count at which the next closure runs
     for i in range(n):
@@ -496,51 +494,50 @@ def _lockstep_winner(rot, rot_inv, inv, bases) -> tuple:
             d = _trusted_diagram(rot, inv)
             automorphism, _ = _close(d, first, d, alive[1][1][0])
             if automorphism is not None:
-                if parent is None:
-                    parent = list(range(n))
                 _merge_orbits(parent, automorphism)
                 alive = alive[:1] + [state for state in alive[1:]
                                      if _find(parent, state[1][0]) != first]
-    return alive[0][1][0], parent
+    return alive[0][1][0]
 
 
 def _canonical_form(rot, inv) -> tuple:
     """The (rot, inv) pair of the least relabeling over all base arcs of the
-    diagram with these permutations, and its |Aut|.
+    diagram with these permutations, the union-find of the automorphism
+    orbits found by the search, and the best base.
 
     Each base is labeled breadth-first with generators [rot, rot^-1, inv];
     entry i of its relabeled rot array, label[rot[order[i]]], is known as
     soon as order[i] is expanded, so a base is dropped at the first entry
     that exceeds the best array so far.  Inv arrays are compared only when
     the rot arrays tie.  A full tie with the best base is an automorphism
-    best_order[j] -> order[j]; its orbits are merged into a union-find, and
-    a base whose orbit already holds a smaller (hence examined) arc is
-    skipped, since it yields the same arrays.  |Aut| is the size of the best
-    base's class, or 1 when no automorphism was found.
+    best_order[j] -> order[j]; its orbits are merged into the union-find,
+    whose roots are the least arcs of their classes, and a base that is not
+    a root is skipped: its root is a smaller, hence examined, arc of its
+    orbit, which yields the same arrays.
 
     Entry 0 is 0 exactly when rot fixes the base, so when some arc is
     rot-fixed only those arcs are bases, and automorphisms permute them.
-    When they are some but not all arcs, the search visits the winner of
-    `_lockstep_winner` first, with its union-find, then the others in
-    increasing order, so every class root is still visited before the rest
-    of its class.  The cost is then O(n) for the lockstep pass, plus one
-    full pass per automorphism generator and per improvement of the best
-    base.  Without a rot-fixed arc every arc is a base, in arc order, and
-    the worst case is one full pass per base.
+    When there are several, the search visits the winner of
+    `_lockstep_winner` first, with the orbits that pass merged, then the
+    others in increasing order, so every class root is still visited before
+    the rest of its class.  The cost is then O(n) for the lockstep pass,
+    plus one full pass per automorphism generator and per improvement of
+    the best base.  Without a rot-fixed arc every arc is a base, in arc
+    order, and the worst case is one full pass per base.
     """
     n = len(rot)
     rot_inv = [0] * n
     for a, b in enumerate(rot):
         rot_inv[b] = a
-    bases = [a for a, b in enumerate(rot) if a == b] or range(n)
-    parent = None  # union-find of the automorphism orbits, once one is found
-    if 1 < len(bases) < n:
-        first, parent = _lockstep_winner(rot, rot_inv, inv, bases)
+    parent = list(range(n))  # union-find of the automorphism orbits
+    bases = [a for a, b in enumerate(rot) if a == b]
+    if len(bases) > 1:
+        first = _lockstep_winner(rot, rot_inv, inv, bases, parent)
         bases = [first] + [a for a in bases if a != first]
     label = [-1] * n
     best_rot = best_inv = best_order = None
-    for base in bases:
-        if parent is not None and _find(parent, base) != base:
+    for base in bases or range(n):
+        if parent[base] != base:
             continue
         label[base] = 0
         order = [base]
@@ -574,14 +571,10 @@ def _canonical_form(rot, inv) -> tuple:
                 automorphism = [0] * n
                 for x, y in zip(best_order, order):
                     automorphism[x] = y
-                if parent is None:
-                    parent = list(range(n))
                 _merge_orbits(parent, automorphism)
         for x in order:
             label[x] = -1
-    root = best_order[0]
-    aut = 1 if parent is None else sum(_find(parent, x) == root for x in range(n))
-    return tuple(best_rot), tuple(best_inv), aut
+    return tuple(best_rot), tuple(best_inv), parent, best_order[0]
 
 
 def _encode(n: int, rot: tuple, inv: tuple) -> bytes:
@@ -607,14 +600,14 @@ def canonical_code(d: Diagram) -> bytes:
     improvement of the best base; otherwise the worst case is one full pass
     per base.
     """
-    rot, inv, _ = _canonical_form(d.rot, d.inv)
+    rot, inv, _, _ = _canonical_form(d.rot, d.inv)
     return _encode(d.n, rot, inv)
 
 
 def canonical_representative(d: Diagram) -> Diagram:
     """The canonically relabeled isomorphic copy of `d` (same code)."""
-    rot, inv, _ = _canonical_form(d.rot, d.inv)
-    return Diagram(rot, inv)
+    rot, inv, _, _ = _canonical_form(d.rot, d.inv)
+    return _trusted_diagram(rot, inv)
 
 
 def automorphisms(d: Diagram) -> list:
@@ -636,8 +629,9 @@ def automorphism_order(d: Diagram) -> int:
     """|Aut(d)| from one canonical search: Aut acts freely on the arcs, so
     |Aut| is the size of the Aut-orbit of the best base; the bases that tie
     with it are that orbit, and `_canonical_form` gathers each into the
-    best base's union-find class, merged or skipped."""
-    return _canonical_form(d.rot, d.inv)[2]
+    best base's union-find class, merged or skipped, so this counts it."""
+    _, _, parent, root = _canonical_form(d.rot, d.inv)
+    return sum(_find(parent, x) == root for x in range(d.n))
 
 
 def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
@@ -652,7 +646,7 @@ def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
     """
     parent = list(range(d.n))
     for a in range(1, d.n):
-        if _find(parent, a) != a:
+        if parent[a] != a:
             continue
         m, conflict = _close(d, 0, d, a)
         if m is None:

@@ -252,6 +252,31 @@ def test_corrupt_cache_recovers(tmp_path, monkeypatch, capsys):
     assert code == 0 and "warning" in err
 
 
+@pytest.mark.parametrize("field", ["format_version", "kind", "general", "max"])
+def test_cache_with_a_wrong_field_is_not_served(tmp_path, monkeypatch, capsys, field):
+    # each table keeps an intact digest, so only the field comparison refuses
+    # it: a classes or general table must never pass for pointed counts
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+    _, uncached, _ = run(capsys, "count", "pointed", "--max", "9")
+    cache_file = cache_dir / "count-pointed.json"
+    reference = cache_file.read_text()
+    if field == "kind":
+        run(capsys, "count", "classes", "--max", "9")
+        data = json.loads((cache_dir / "count-classes.json").read_text())
+    elif field == "general":
+        run(capsys, "count", "pointed", "--general", "--max", "9")
+        data = json.loads((cache_dir / "count-pointed-general.json").read_text())
+    else:
+        data = json.loads(reference)
+        data[field] += 1
+    cache_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "count", "pointed", "--max", "9")
+    assert (code, out) == (0, uncached)
+    assert "warning: ignoring corrupt cache" in err and "inconsistent cache fields" in err
+    assert cache_file.read_text() == reference
+
+
 def test_edited_cache_value_is_not_served(tmp_path, monkeypatch, capsys):
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))

@@ -90,6 +90,16 @@ def test_immutability():
         TERMINAL.n = 5
 
 
+def test_pointed_diagram_and_census_report_are_immutable():
+    p = pointed(INDEX2, 1)
+    with pytest.raises(AttributeError):
+        p.base = 0
+    report = enumerate_size(4)
+    with pytest.raises(AttributeError):
+        report.unpointed_classes = 3
+    assert (p.base, report.unpointed_classes) == (1, 2)
+
+
 @pytest.mark.parametrize("trivalent, n", [(True, 8), (False, 6)], ids=["trivalent", "general"])
 def test_trusted_diagram_equals_the_validated_one(trivalent, n):
     for rot, inv in pointed_structures(n, trivalent):
