@@ -15,7 +15,7 @@ Exit codes: 0 success (a `decide` answer of false is still success: the
 answer is the payload), 1 stdout was closed before the output was written,
 2 usage error, 3 input error, 4 internal invariant failure (self-test
 mismatch, or a `ValueError` from the pipelines: every user-input path raises
-`InputError` or `DiagramParseError` instead).
+`InputError`, `DiagramParseError` or `census.CensusSizeError` instead).
 """
 
 from __future__ import annotations
@@ -178,10 +178,7 @@ def _cmd_count(args) -> int:
 def _cmd_census(args) -> int:
     if args.normal_only and not (args.list or args.dot):
         raise UsageError("--normal-only restricts a listing; add --list or --dot")
-    try:
-        report = census_mod.enumerate_size(args.size)
-    except census_mod.CensusSizeError as exc:
-        raise InputError(str(exc)) from None
+    report = census_mod.enumerate_size(args.size)
     normal_reps = report.normal_representatives()
     payload = {
         "size": report.size,
@@ -203,7 +200,7 @@ def _cmd_census(args) -> int:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
@@ -221,45 +218,40 @@ def _read_diagram_file(path: str):
     return _in_file(path, parse_diagram_text, _read_text(path))
 
 
-def _pointed_arrays(path: str):
-    """The checked arrays and base of a pointed diagram file; its
-    connectivity is still unproven."""
-    arrays = _in_file(path, _parse_arrays, _read_text(path))
-    if arrays.base is None:
-        _in_file(path, _check_connected, arrays)
-        raise InputError("%s: this relation needs a base arc (add '; base=K')" % path)
-    return arrays
-
-
 def _decide_pointed(files, same_size: bool):
     """`included` (a pointed map from the first file to the second) or, with
     `same_size`, `isomorphic` (such a map between equal arc counts).
 
-    One closure both decides the relation and proves the two files
-    connected: a map that assigns every source arc shows the source is, and
-    an image of every target arc (the orbit of the target base) shows the
-    target is.  Every other outcome first checks connectivity, file 1
-    before file 2, so a disconnected file is reported as the full parse
-    reports it, and no `Diagram` is built."""
-    one = _pointed_arrays(files[0])
-    try:
-        two = _pointed_arrays(files[1])
-    except InputError:
-        _in_file(files[0], _check_connected, one)
-        raise
-
-    def check_both_connected():
-        _in_file(files[0], _check_connected, one)
-        _in_file(files[1], _check_connected, two)
-
-    n1, n2 = len(one.rot), len(two.rot)
-    if same_size and n1 != n2:
-        check_both_connected()
+    One rule: before it raises a fault (a read or parse error, a missing
+    base) or answers false (a size mismatch, a closure that fails), it
+    proves the files read so far connected, in file order, so a
+    disconnected file is reported as the full parse reports it.  A true
+    answer is its own proof: a map that assigns every source arc and images
+    every target arc (the orbit of the target base) shows both connected."""
+    read, fault, conflict = [], None, None  # read: the (path, arrays) pairs so far
+    for path in files:
+        try:
+            arrays = _in_file(path, _parse_arrays, _read_text(path))
+        except InputError as exc:
+            fault = exc
+            break
+        read.append((path, arrays))
+        if arrays.base is None:
+            fault = InputError("%s: this relation needs a base arc (add '; base=K')" % path)
+            break
+    else:
+        (_, one), (_, two) = read
+        n1, n2 = len(one.rot), len(two.rot)
+        if not same_size or n1 == n2:
+            mapping, conflict = _close(one, one.base, two, two.base)
+            if conflict is None and -1 not in mapping and len(set(mapping)) == n2:
+                return True, {"map": list(mapping)}
+    for path, arrays in read:
+        _in_file(path, _check_connected, arrays)
+    if fault is not None:
+        raise fault
+    if conflict is None:  # connected files without a conflict: unequal sizes
         return False, {"sizes": [n1, n2]}
-    mapping, conflict = _close(one, one.base, two, two.base)
-    if conflict is None and -1 not in mapping and len(set(mapping)) == n2:
-        return True, {"map": list(mapping)}
-    check_both_connected()  # then the closure met a conflict
     return False, {"critical_pair": conflict._asdict()}
 
 
@@ -380,7 +372,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, DiagramParseError) as exc:
+    except (InputError, DiagramParseError, census_mod.CensusSizeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -328,6 +328,26 @@ def test_unwritable_cache_warns_and_keeps_the_output(tmp_path, monkeypatch, caps
     assert blocker.read_text() == ""
 
 
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # the write fails half way: the output is the uncached one, and neither
+    # the partial temporary file nor a cache file is left behind
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    _, uncached, _ = run(capsys, "count", "classes", "--max", "9")
+
+    def partial_dump(payload, handle):
+        handle.write(json.dumps(payload)[:20])
+        raise OSError("simulated full disk")
+
+    monkeypatch.setattr(cli.json, "dump", partial_dump)
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+    code, out, err = run(capsys, "count", "classes", "--max", "9")
+    assert (code, out) == (0, uncached)
+    assert err == "warning: could not write cache %s (simulated full disk)\n" \
+        % (cache_dir / "count-classes.json")
+    assert list(cache_dir.iterdir()) == []
+
+
 def test_no_cache_dir_means_no_cache(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     code, out, _ = run(capsys, "count", "classes", "--max", "3")
@@ -766,6 +786,16 @@ def test_decide_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: cannot read %s: 'utf-8' codec can't decode" % path)
 
 
+def test_decide_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    text = "n=3; rot=[1,2,0]; inv=[0,2,1]"
+    plain = write(tmp_path, "plain.diag", text)
+    marked = tmp_path / "marked.diag"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("ascii"))
+    expected = run(capsys, "decide", "normal", plain)
+    assert run(capsys, "decide", "normal", str(marked)) == expected
+    assert expected[0] == 0
+
+
 def test_decide_overlong_integer_is_rejected_under_the_digit_limit(tmp_path, capsys):
     # no verb lifts Python's int/str digit limit; a diagram file is parsed
     # under it, so a 5000-digit field is not an integer
@@ -851,6 +881,20 @@ def test_selftest_names_first_failing_check(monkeypatch, capsys):
     assert "FAIL reference" in out
     # checks before the failing one still ran and reported
     assert "ok recurrence-order-20" in out
+
+
+def test_selftest_reports_an_unexpected_error_and_stops(monkeypatch, capsys):
+    from trivalent import selftest
+
+    def broken(limit):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(selftest, "check_number_theory", broken)
+    code, out, _ = run(capsys, "selftest", "quick")
+    assert code == cli.EXIT_INTERNAL
+    first, second = out.splitlines()
+    assert re.fullmatch(r"ok series-roundtrips \(\d+\.\d\d s\)", first)
+    assert second == "FAIL number-theory: unexpected ZeroDivisionError: boom"
 
 
 # --- startup ----------------------------------------------------------------

@@ -53,11 +53,6 @@ def test_recurrence_small_orders():
 # --- unpointed counts -------------------------------------------------------------
 
 
-def test_dense_route_small_coefficients():
-    dense = conjugacy_class_series_dense(9)
-    assert dense.integer_coefficients()[1:] == [1, 1, 2, 2, 1, 8, 6, 7, 14]
-
-
 def test_dense_route_cap():
     with pytest.raises(ValueError):
         conjugacy_class_series_dense(25)

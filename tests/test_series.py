@@ -27,6 +27,8 @@ def ts(order, *coeffs):
 def test_padding_and_length_check():
     f = TruncSeries(3, [1, 2])
     assert f.coeffs == (Q(1), Q(2), Q(0), Q(0))
+    with pytest.raises(IndexError, match=r"index -1 out of range 0\.\.3"):
+        f[-1]
     with pytest.raises(ValueError):
         TruncSeries(1, [1, 2, 3])
     with pytest.raises(ValueError):
