@@ -50,6 +50,15 @@ walk has no base to test, so it cuts nothing and every leaf has aut = 1;
 representatives by canonical code, and their |Aut| by canonical search, as
 the oracle of this rule.
 
+The walk is plain recursion over the three shared arrays, and it hands
+each leaf to one collector, a list in walk order: `enumerate_size` has it
+keep only the leaves with aut > 0, so a rejected leaf is never copied,
+while `pointed_structures` and the tests see every leaf.  The search state
+of a tied base (its order and labels) is never written once it is made:
+an advance copies it on the first new label it assigns, so an advance
+that labels nothing new costs no copy, and the sibling branches below a
+node share the state they were given.
+
 A `CensusReport` holds the kept leaves and derives every count from
 them.  Aut acts freely on the arcs, so a class holds n/|Aut| pointed
 classes: the pointed count is the sum of n/|Aut| over the representatives,
@@ -61,7 +70,7 @@ from __future__ import annotations
 
 import math
 
-from .diagram import _encode, _trusted_diagram
+from .diagram import _trusted_diagram
 # unused here, but `perfbench/spans.py` wraps them by name in this module
 from .diagram import (Diagram, canonical_code, canonical_representative,  # noqa: F401
                       is_normal)
@@ -120,8 +129,10 @@ def _still_tied(rot, pre, inv, tied):
     state where its search stopped: the unset entry array[index], the
     position i, the order and the labels.  Set entries never change below a
     node, so the search resumes at position i (its labeling steps are
-    idempotent) once that entry is set, on copies: the sibling branches
-    share the old state.
+    idempotent) once that entry is set.  The order and labels of an entry
+    are never written once it is made: an advance copies them on its first
+    new label and writes the copies, so an advance that labels no new arc
+    keeps the old lists, and the sibling branches share them.
     """
     kept = []
     for entry in tied:
@@ -129,9 +140,7 @@ def _still_tied(rot, pre, inv, tied):
         if blocker[index] < 0:
             kept.append(entry)
             continue
-        order = order[:]
-        label = label[:]
-        append = order.append
+        shared = True  # order and label are still the entry's, not copies
         size = len(order)
         sign = 0
         while i < size:
@@ -142,8 +151,10 @@ def _still_tied(rot, pre, inv, tied):
                 break
             r = label[y]
             if r < 0:
+                if shared:
+                    order, label, shared = order[:], label[:], False
                 r = label[y] = size
-                append(y)
+                order.append(y)
                 size += 1
             own = rot[i]
             if r != own:
@@ -156,16 +167,20 @@ def _still_tied(rot, pre, inv, tied):
                 blocker, index = pre, x
                 break
             if label[y] < 0:
+                if shared:
+                    order, label, shared = order[:], label[:], False
                 label[y] = size
-                append(y)
+                order.append(y)
                 size += 1
             y = inv[x]
             if y < 0:
                 blocker, index = inv, x
                 break
             if label[y] < 0:
+                if shared:
+                    order, label, shared = order[:], label[:], False
                 label[y] = size
-                append(y)
+                order.append(y)
                 size += 1
             i += 1
         else:  # every entry is set and the rot arrays tie: compare inv
@@ -179,20 +194,22 @@ def _still_tied(rot, pre, inv, tied):
     return kept
 
 
-def _walk(n: int, trivalent: bool, pruned: bool):
-    """The backtracking walk behind the census: yields one (rot, inv, aut)
-    triple per leaf, rot and inv the image tuples in canonical labeling from
-    arc 0 and aut = |Aut| of a canonical leaf, 0 for a rejected one.
-    Pruned, it cuts every branch that a base b >= 1 already relabels to a
-    smaller prefix, and the leaves with aut > 0 are the class
-    representatives.  Unpruned, it tests no base, so it cuts nothing and
-    every leaf has aut 1: one rigid structure per pointed class."""
+def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
+    """The backtracking walk behind the census: the list of its leaves in
+    walk order, one (rot, inv, aut) triple each, rot and inv the image
+    tuples in canonical labeling from arc 0 and aut = |Aut| of a canonical
+    leaf, 0 for a rejected one (left out unless `rejected`).  Pruned, it
+    cuts every branch that a base b >= 1 already relabels to a smaller
+    prefix, and the leaves with aut > 0 are the class representatives.
+    Unpruned, it tests no base, so it cuts nothing and every leaf has aut
+    1: one rigid structure per pointed class."""
     if n < 1:
         raise CensusSizeError("size must be >= 1, got %d" % n)
     rot = [-1] * n
     pre = [-1] * n
     inv = [-1] * n
     stages = ((rot, pre), (pre, rot), (inv, inv))
+    leaves = []
 
     def join(a, stage, used, tied):
         while True:
@@ -202,7 +219,9 @@ def _walk(n: int, trivalent: bool, pruned: bool):
                     return
                 tied = _still_tied(rot, pre, inv, tied)
                 if a == used:         # a leaf: all n arcs are expanded
-                    yield tuple(rot), tuple(inv), 0 if tied is None else len(tied) + 1
+                    aut = 0 if tied is None else len(tied) + 1
+                    if aut or rejected:
+                        leaves.append((tuple(rot), tuple(inv), aut))
                     return
                 if tied is None:
                     return
@@ -229,7 +248,7 @@ def _walk(n: int, trivalent: bool, pruned: bool):
                     continue
             fwd[a] = b
             bwd[b] = a
-            yield from join(a, stage + 1, used + (b == used), tied)
+            join(a, stage + 1, used + (b == used), tied)
             fwd[a] = -1
             bwd[b] = -1
 
@@ -239,7 +258,12 @@ def _walk(n: int, trivalent: bool, pruned: bool):
             label = [-1] * n
             label[b] = 0
             tied.append((rot, b, 0, [b], label))
-    yield from join(0, 0, 1, tied)
+    join(0, 0, 1, tied)
+    # `join` refers to itself through its closure: clearing the cell breaks
+    # that cycle, so the leaves die with the caller's last reference rather
+    # than at the next cyclic collection
+    del join
+    return leaves
 
 
 def pointed_structures(n: int, trivalent: bool = True):
@@ -252,17 +276,20 @@ def pointed_structures(n: int, trivalent: bool = True):
 def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """Construct all connected diagrams of size n.
 
-    Walks the pruned tree and keeps the leaves with aut > 0, each the
-    representative of its unpointed class (canonical augmentation, decided
-    by the pruning test, which also gives its |Aut|), sorted by canonical
-    code; the report derives its counts from them.  Raises for sizes below
-    1 or beyond the cap.
+    Walks the pruned tree, which collects only the leaves with aut > 0,
+    each the representative of its unpointed class (canonical augmentation,
+    decided by the pruning test, which also gives its |Aut|), and sorts them
+    by canonical code; the report derives its counts from them.  Raises for
+    sizes below 1 or beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
         raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
-    kept = [leaf for leaf in _walk(n, trivalent, pruned=True) if leaf[2]]
-    # a kept structure is its own canonical form, so this is its code
-    kept.sort(key=lambda leaf: _encode(n, leaf[0], leaf[1]))
+    kept = _walk(n, trivalent, pruned=True, rejected=False)
+    # a kept structure is its own canonical form, so its code is `_encode`
+    # of its arrays: "n;" (the same for all) and then this key
+    digits = [str(i) for i in range(n)]
+    kept.sort(key=lambda leaf: ",".join(map(digits.__getitem__, leaf[0])) + ";"
+              + ",".join(map(digits.__getitem__, leaf[1])))
     return CensusReport(n, tuple(_trusted_diagram(rot, inv) for rot, inv, _ in kept),
                         tuple(aut for _, _, aut in kept))

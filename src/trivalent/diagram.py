@@ -282,31 +282,39 @@ def _parse_arrays(text: str) -> _Arrays:
             raise error("field %r is not an integer: %r" % (key, value), seg_offset)
         return number
 
+    arcs = None  # the file's one int object per arc, n of them by rot's length
+
     def parse_list(key):
+        # the list's entries, mapped at C speed onto the arc table's int
+        # objects when there are n >= 2 of them, all ints in 0..n-1 (an
+        # entry >= n raises IndexError; itemgetter of one entry gives no
+        # tuple), or else left as they are for the checks that name a fault
+        nonlocal arcs
         value, seg_offset = fields[key]
         if not (value.startswith("[") and value.endswith("]")):
             raise error("field %r must be a bracketed list" % key, seg_offset)
         entries = parse_json(value)
+        if entries is not None:
+            if arcs is None:
+                arcs = tuple(range(len(entries)))
+            # every JSON value but an int >= 0 either has a "-" or an "e"
+            # (true, false, a negative, an exponent) or raises TypeError as
+            # an index (a float, null, a string, a list, an object), so only
+            # a list that fails here needs the type pass below; the one valid
+            # list this leaves unmapped, with an entry written -0, gets the
+            # same arrays from `_check_arrays`
+            if len(entries) == len(arcs) > 1 and "-" not in value and "e" not in value:
+                try:
+                    return itemgetter(*entries)(arcs)
+                except (IndexError, TypeError):
+                    pass
         if entries is None or not {int}.issuperset(map(type, entries)):
             raise error("field %r has a non-integer entry" % key, seg_offset)
         return entries
 
-    def shared(entries):
-        # entries mapped at C speed onto the table's int objects (an entry
-        # >= n raises IndexError), or left as they are; itemgetter of one
-        # entry gives no tuple, and a negative entry would wrap
-        if len(entries) == len(arcs) > 1 and min(entries) >= 0:
-            try:
-                return itemgetter(*entries)(arcs)
-            except IndexError:
-                pass
-        return entries
-
     n = parse_int("n")
     rot = parse_list("rot")
-    arcs = tuple(range(len(rot)))  # the file's one int object per arc
-    rot = shared(rot)
-    inv = shared(parse_list("inv"))
+    inv = parse_list("inv")
     base = parse_int("base") if "base" in fields else None
     if len(rot) != n or len(inv) != n:
         raise error("n=%d but rot has %d entries and inv has %d" % (n, len(rot), len(inv)),

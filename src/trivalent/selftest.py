@@ -10,10 +10,11 @@ against the frozen reference sequences.
 `quick` stays at truncation order 20 (60 for both series and the
 column kernels against `Fraction`), census size 8 against the series, sizes
 6 and 5 (trivalent, general) against brute force and 12 and 7 against
-canonical codes; `full` adds the order-50 tables, census size 9, the
-recurrence against the closed form to order 500, and both series and the
-column kernels against `Fraction` and the frozen values at 500
-(`modular-vs-fraction-500`).
+canonical codes, and last the parity laws of the pointed counts to order
+500; `full` adds the order-50 tables, census size 9, the recurrence against
+the closed form to order 500, and both series and the column kernels
+against `Fraction` and the frozen values at 500 (`modular-vs-fraction-500`),
+and takes the parity laws to order 1000.
 
 Each check is a public function taking its sizes (and, when randomized, the
 `random.Random` to draw from), so the test suite runs these same oracles with
@@ -150,6 +151,23 @@ def check_reference(order):
         _fail("reference", "subgroup counts disagree up to order %d" % order)
     if classes != list(reference.CONJUGACY_CLASSES_BY_INDEX[:order]):
         _fail("reference", "class counts disagree up to order %d" % order)
+
+
+def check_parity_laws(order):
+    """The parity of every pointed count s_n, n = 1..order, in both flavors:
+    Stothers' law (W. W. Stothers, Proc. Roy. Soc. Edinburgh 78A (1977)),
+    the trivalent s_n is odd exactly when n = 2^k - 3 (k >= 2) or
+    n = 2^k - 6 (k >= 3), and every general s_n is odd (Hall's recursion
+    gives s_n = s_{n-1} mod 2).  One bit per coefficient, but at any order,
+    and independent of the kernels."""
+    top = (order + 6).bit_length() + 1
+    odd = {2 ** k - 3 for k in range(2, top)} | {2 ** k - 6 for k in range(3, top)}
+    for general in (False, True):
+        counts = counting.subgroup_series(order, general).integer_coefficients()
+        for n in range(1, order + 1):
+            if counts[n] % 2 != (general or n in odd):
+                _fail("parity-laws", "%s s_%d is %s" % ("general" if general else "trivalent",
+                                                      n, "odd" if counts[n] % 2 else "even"))
 
 
 def check_census(max_size):
@@ -728,6 +746,7 @@ def run_selftest(full: bool) -> bool:
             ("recurrence-order-500", lambda: check_recurrence(500)),
             ("modular-vs-fraction-500", lambda: check_index_500(*check_modular_vs_fraction(500))),
         ]
+    checks.append(("parity-laws", lambda: check_parity_laws(1000 if full else 500)))
     for name, check in checks:
         start = time.perf_counter()
         try:

@@ -1,10 +1,12 @@
 """Tests for the brute-force census."""
 
+import gc
 import hashlib
 import math
 
 import pytest
 
+from trivalent import census
 from trivalent.census import (
     CENSUS_CAP_GENERAL,
     CENSUS_CAP_TRIVALENT,
@@ -87,6 +89,40 @@ def test_pruned_walk_cuts_only_non_canonical_structures(trivalent):
                 assert canonical_code(Diagram(rot, inv)) != _encode(n, rot, inv)
 
 
+@pytest.mark.parametrize("trivalent, max_size", [(True, 10), (False, 7)],
+                         ids=["trivalent", "general"])
+def test_tie_test_never_writes_the_states_it_is_given(monkeypatch, trivalent, max_size):
+    # sibling branches share the order and labels of each tied base, so an
+    # advance must write only its own copies of them
+    original = census._still_tied
+    nodes = 0
+
+    def checked(rot, pre, inv, tied):
+        nonlocal nodes
+        before = [(entry[3][:], entry[4][:]) for entry in tied]
+        result = original(rot, pre, inv, tied)
+        assert [(entry[3], entry[4]) for entry in tied] == before
+        nodes += 1
+        return result
+
+    monkeypatch.setattr(census, "_still_tied", checked)
+    for n in range(1, max_size + 1):
+        list(_walk(n, trivalent, pruned=True))
+    assert nodes > 0
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # the walk's recursive closure refers to itself; left as a cycle, it
+    # would keep every collected leaf alive until a cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_size(8, trivalent=False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_representatives_properties():
     for n in range(1, 8):
         report = enumerate_size(n)
@@ -109,6 +145,18 @@ def test_general_flavor_listing_is_pinned(n, digest):
     reps = enumerate_size(n, trivalent=False).class_representatives
     text = "\n".join(d.to_text() for d in reps)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def test_general_size_10_census_is_pinned():
+    # the representatives in listing order, as `to_text` lines, and their
+    # |Aut| at the largest general size, the one the benchmark runs
+    report = enumerate_size(10, trivalent=False)
+    text = "\n".join(d.to_text() for d in report.class_representatives)
+    orders = ",".join(map(str, report.automorphism_orders))
+    assert (hashlib.sha256(text.encode("ascii")).hexdigest()
+            == "cc6a57da34b4ce7964e8e55471e870a9a43ceefc304842610f6a61cbdc2293e6")
+    assert (hashlib.sha256(orders.encode("ascii")).hexdigest()
+            == "150ae22b5d2096ee2e263239c86d3491a23e717b0ac7e7c79169439e8ded854b")
 
 
 def test_general_flavor_representative_properties():

@@ -763,6 +763,24 @@ def test_decide_disconnected_rejected(tmp_path, capsys):
     assert err == "error: %s: diagram is not connected (line 1, column 6)\n" % path
 
 
+@pytest.mark.parametrize("key", ["rot", "inv"])
+@pytest.mark.parametrize("entry", ["true", "-1", "1.5", "null", "1e3", "[1]"])
+def test_decide_list_entry_that_is_no_arc_is_named(tmp_path, capsys, key, entry):
+    # the last entry of one list is no arc: -1 is an int out of range, the
+    # others are no ints; a list read straight onto the arc table must name
+    # the same fault as the type and range checks
+    lists = {"rot": "[1,2,0]", "inv": "[0,2,1]"}
+    lists[key] = lists[key][:-2] + entry + "]"
+    path = write(tmp_path, "d.diag", "n=3; rot=%s; inv=%s" % (lists["rot"], lists["inv"]))
+    code, out, err = run(capsys, "decide", "normal", path)
+    if entry == "-1":
+        fault = "%s image -1 out of range 0..2" % key
+    else:
+        fault = "field %r has a non-integer entry" % key
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: %s: %s (line 1, column %d)\n" % (path, fault, 6 if key == "rot" else 19)
+
+
 @pytest.mark.parametrize("text", [INDEX2_TEXT[:-1] + "7" * 200000,
                                   INDEX2_TEXT + "; " + "x" * 200000],
                          ids=["long-base", "segment-without-equals"])

@@ -13,7 +13,8 @@ from trivalent.counting import (
     subgroup_series,
 )
 from trivalent import counting
-from trivalent.selftest import SelfTestFailure, brute_commuting, check_modular_vs_fraction
+from trivalent.selftest import (SelfTestFailure, brute_commuting, check_modular_vs_fraction,
+                                check_parity_laws)
 from trivalent.series import TruncSeries
 
 Q = Fraction
@@ -130,6 +131,25 @@ def test_fraction_oracle_names_a_faulty_column_kernel(monkeypatch, name, flavor)
         check_modular_vs_fraction(40)
     with pytest.raises(ValueError, match="is not"):
         conjugacy_class_series(40, flavor == "general")
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["trivalent", "general"])
+def test_parity_laws_catch_one_flipped_coefficient(monkeypatch, general):
+    real = counting.subgroup_series
+
+    def flipped(order, flavor=False):
+        series = real(order, flavor)
+        if flavor != general:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[37] += 1
+        return TruncSeries(order, coeffs)
+
+    check_parity_laws(60)
+    monkeypatch.setattr(counting, "subgroup_series", flipped)
+    with pytest.raises(SelfTestFailure, match="^parity-laws: %s s_37 is %s$"
+                       % ("general" if general else "trivalent", "even" if general else "odd")):
+        check_parity_laws(60)
 
 
 def test_general_series_compute_no_modulus(monkeypatch):
