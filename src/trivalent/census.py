@@ -53,11 +53,14 @@ the oracle of this rule.
 The walk is plain recursion over the three shared arrays, and it hands
 each leaf to one collector, a list in walk order: `enumerate_size` has it
 keep only the leaves with aut > 0, so a rejected leaf is never copied,
-while `pointed_structures` and the tests see every leaf.  The search state
-of a tied base (its order and labels) is never written once it is made:
-an advance copies it on the first new label it assigns, so an advance
-that labels nothing new costs no copy, and the sibling branches below a
-node share the state they were given.
+while `pointed_structures` and the tests see every leaf.  The collected
+leaves hold one tuple per distinct array (at general size 10, 470 rot and
+895 inv tuples for 5 916 classes), and `enumerate_size` writes the text of
+its sort key once per distinct array.  The search state of a tied base
+(its order and labels) is never written once it is made: an advance
+copies it on the first new label it assigns, so an advance that labels
+nothing new costs no copy, and the sibling branches below a node share
+the state they were given.
 
 A `CensusReport` holds the kept leaves and derives every count from
 them.  Aut acts freely on the arcs, so a class holds n/|Aut| pointed
@@ -197,7 +200,8 @@ def _still_tied(rot, pre, inv, tied):
 def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
     """The backtracking walk behind the census: the list of its leaves in
     walk order, one (rot, inv, aut) triple each, rot and inv the image
-    tuples in canonical labeling from arc 0 and aut = |Aut| of a canonical
+    tuples in canonical labeling from arc 0 (one tuple object per distinct
+    array, shared by the leaves that hold it) and aut = |Aut| of a canonical
     leaf, 0 for a rejected one (left out unless `rejected`).  Pruned, it
     cuts every branch that a base b >= 1 already relabels to a smaller
     prefix, and the leaves with aut > 0 are the class representatives.
@@ -210,6 +214,7 @@ def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
     inv = [-1] * n
     stages = ((rot, pre), (pre, rot), (inv, inv))
     leaves = []
+    shared = {}  # each distinct array collected so far, as one tuple
 
     def join(a, stage, used, tied):
         while True:
@@ -221,7 +226,8 @@ def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
                 if a == used:         # a leaf: all n arcs are expanded
                     aut = 0 if tied is None else len(tied) + 1
                     if aut or rejected:
-                        leaves.append((tuple(rot), tuple(inv), aut))
+                        r, v = tuple(rot), tuple(inv)
+                        leaves.append((shared.setdefault(r, r), shared.setdefault(v, v), aut))
                     return
                 if tied is None:
                     return
@@ -269,7 +275,9 @@ def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
 def pointed_structures(n: int, trivalent: bool = True):
     """Yield (rot, inv) image tuples, one per pointed isomorphism class of
     connected diagrams on n arcs, each in canonical labeling: the leaves of
-    the unpruned walk."""
+    the unpruned walk.  The walk runs in full when this is called, before
+    the first item, and the result holds every leaf until it is used up
+    (57 663 at general size 10), so its cost is paid up front."""
     return ((rot, inv) for rot, inv, _ in _walk(n, trivalent, pruned=False))
 
 
@@ -287,9 +295,13 @@ def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
         raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
     kept = _walk(n, trivalent, pruned=True, rejected=False)
     # a kept structure is its own canonical form, so its code is `_encode`
-    # of its arrays: "n;" (the same for all) and then this key
+    # of its arrays: "n;" (the same for all), then rot's text and ";" and
+    # inv's text.  No rot text ending in ";" is a proper prefix of another,
+    # so comparing the pair (rot's text + ";", inv's text) gives that order,
+    # and each distinct array is written once.
     digits = [str(i) for i in range(n)]
-    kept.sort(key=lambda leaf: ",".join(map(digits.__getitem__, leaf[0])) + ";"
-              + ",".join(map(digits.__getitem__, leaf[1])))
+    arrays = {rot for rot, _, _ in kept} | {inv for _, inv, _ in kept}
+    texts = {array: ",".join(map(digits.__getitem__, array)) for array in arrays}
+    kept.sort(key=lambda leaf: (texts[leaf[0]] + ";", texts[leaf[1]]))
     return CensusReport(n, tuple(_trusted_diagram(rot, inv) for rot, inv, _ in kept),
                         tuple(aut for _, _, aut in kept))

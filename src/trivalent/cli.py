@@ -227,15 +227,19 @@ def _decide_pointed(files, same_size: bool):
     proves the files read so far connected, in file order, so a
     disconnected file is reported as the full parse reports it.  A true
     answer is its own proof: a map that assigns every source arc and images
-    every target arc (the orbit of the target base) shows both connected."""
+    every target arc (the orbit of the target base) shows both connected.
+    Each file is mapped onto the int table of the one before, so the
+    decision holds one int object per arc, not one per arc and file."""
     read, fault, conflict = [], None, None  # read: the (path, arrays) pairs so far
+    arcs = ()
     for path in files:
         try:
-            arrays = _in_file(path, _parse_arrays, _read_text(path))
+            arrays = _in_file(path, _parse_arrays, _read_text(path), arcs)
         except InputError as exc:
             fault = exc
             break
         read.append((path, arrays))
+        arcs = arrays.arcs
         if arrays.base is None:
             fault = InputError("%s: this relation needs a base arc (add '; base=K')" % path)
             break
@@ -245,7 +249,7 @@ def _decide_pointed(files, same_size: bool):
         if not same_size or n1 == n2:
             mapping, conflict = _close(one, one.base, two, two.base)
             if conflict is None and -1 not in mapping and len(set(mapping)) == n2:
-                return True, {"map": list(mapping)}
+                return True, {"map": mapping}
     for path, arrays in read:
         _in_file(path, _check_connected, arrays)
     if fault is not None:

@@ -208,14 +208,16 @@ class DiagramParseError(ValueError):
 
 class _Arrays(NamedTuple):
     """A parsed diagram file whose connectivity is not yet known: the
-    checked permutation tuples, the base (None when absent) and the line and
-    column of the `rot` field, where a connectivity error points."""
+    checked permutation tuples, the base (None when absent), the line and
+    column of the `rot` field, where a connectivity error points, and the
+    table of int objects, one per arc, that a valid list is mapped onto."""
 
     rot: tuple
     inv: tuple
     base: Optional[int]
     line: int
     column: int
+    arcs: tuple
 
 
 def _check_connected(arrays: _Arrays) -> None:
@@ -225,12 +227,52 @@ def _check_connected(arrays: _Arrays) -> None:
         raise DiagramParseError("diagram is not connected", arrays.line, arrays.column)
 
 
-def _parse_arrays(text: str) -> _Arrays:
+# the characters of list text that `_map_onto` parses at a time
+_CHUNK = 16384
+
+
+def _map_onto(value: str, table: tuple) -> Optional[tuple]:
+    """The entries of the bracketed list text `value` as the int objects of
+    `table`, or None unless they are one or more JSON values that index it:
+    ints in 0..len(table)-1, or bools, which the caller excludes.
+
+    The text is parsed at C speed one chunk at a time, cut at the first
+    comma after each `_CHUNK` characters, so the int objects of one chunk
+    are all the parse holds at once, not one per entry of the list.  On a
+    list of ints every cut falls between two entries, so the chunks give
+    the entries of the whole list; a cut inside a string or a nested value
+    leaves a chunk that is not JSON, and then the list is refused."""
+    mapped = []
+    start, end = 1, len(value) - 1
+    try:
+        while start < end:
+            stop = value.find(",", start + _CHUNK, end)
+            if stop < 0:
+                stop = end
+            chunk = json.loads("[%s]" % value[start:stop])
+            # an entry >= len(table) raises IndexError, a float, null, string,
+            # list or object TypeError, as does an empty chunk; itemgetter of
+            # one entry gives no tuple
+            images = itemgetter(*chunk)(table)
+            mapped.extend(images if len(chunk) > 1 else (images,))
+            start = stop + 1
+    except (ValueError, RecursionError, IndexError, TypeError):
+        return None
+    return tuple(mapped) if mapped else None
+
+
+def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
     """Every check of `parse_diagram_text` but connectivity, which the
     caller owes before it builds a `Diagram` from the arrays (a base out of
     range is reported only after it, as the full parse does).  Each list is
-    mapped onto one table of n int objects as soon as it is read, so the
-    parsed file holds one int per arc, shared by both arrays."""
+    mapped onto one table of n int objects as soon as it is read, a chunk
+    of text at a time (`_map_onto`), so the parsed file holds one int per
+    arc, shared by both arrays, and the parse never holds one per entry of
+    the list.  `arcs` is the
+    table of an earlier file: this file's table is its first n ints, or all
+    of them and new ones after, so the files of one decision share one int
+    per arc; the result carries the table it used.  A list's text is
+    dropped once the list is parsed, and only its offset is kept."""
 
     def position(offset):
         # 1-based line and column of the first non-space character at or
@@ -282,32 +324,33 @@ def _parse_arrays(text: str) -> _Arrays:
             raise error("field %r is not an integer: %r" % (key, value), seg_offset)
         return number
 
-    arcs = None  # the file's one int object per arc, n of them by rot's length
+    table = None  # the file's one int object per arc, n of them by rot's length
 
     def parse_list(key):
-        # the list's entries, mapped at C speed onto the arc table's int
-        # objects when there are n >= 2 of them, all ints in 0..n-1 (an
-        # entry >= n raises IndexError; itemgetter of one entry gives no
-        # tuple), or else left as they are for the checks that name a fault
-        nonlocal arcs
+        # the list's entries, mapped onto the arc table's int objects when
+        # they are all ints in 0..n-1, or else left as JSON gives them for
+        # the checks that name a fault (a list of the wrong length is
+        # named by the length check after both lists are read)
+        nonlocal table
         value, seg_offset = fields[key]
+        fields[key] = (None, seg_offset)  # errors need only the offset
         if not (value.startswith("[") and value.endswith("]")):
             raise error("field %r must be a bracketed list" % key, seg_offset)
+        if table is None:
+            # a list of ints has one entry more than it has commas; any other
+            # rot list is refused below, before the table is used
+            size = value.count(",") + 1
+            table = arcs[:size] if len(arcs) >= size else arcs + tuple(range(len(arcs), size))
+        # every JSON value but an int >= 0 either has a "-" or an "e" (true,
+        # false, a negative, an exponent) or fails `_map_onto`, so only a
+        # list that fails here needs the type pass below; the one valid list
+        # this leaves unmapped, with an entry written -0, gets the same
+        # arrays from `_check_arrays`
+        if "-" not in value and "e" not in value:
+            mapped = _map_onto(value, table)
+            if mapped is not None:
+                return mapped
         entries = parse_json(value)
-        if entries is not None:
-            if arcs is None:
-                arcs = tuple(range(len(entries)))
-            # every JSON value but an int >= 0 either has a "-" or an "e"
-            # (true, false, a negative, an exponent) or raises TypeError as
-            # an index (a float, null, a string, a list, an object), so only
-            # a list that fails here needs the type pass below; the one valid
-            # list this leaves unmapped, with an entry written -0, gets the
-            # same arrays from `_check_arrays`
-            if len(entries) == len(arcs) > 1 and "-" not in value and "e" not in value:
-                try:
-                    return itemgetter(*entries)(arcs)
-                except (IndexError, TypeError):
-                    pass
         if entries is None or not {int}.issuperset(map(type, entries)):
             raise error("field %r has a non-integer entry" % key, seg_offset)
         return entries
@@ -324,13 +367,13 @@ def _parse_arrays(text: str) -> _Arrays:
         # entries, and inv an involution (so a permutation) when inv of inv
         # is the identity; any other file goes to the checks that name a fault
         if not (type(rot) is type(inv) is tuple and len(set(rot)) == n
-                and itemgetter(*inv)(inv) == arcs):
+                and itemgetter(*inv)(inv) == table):
             rot, inv = _check_arrays(rot, inv)
     except ValueError as exc:
         # a fault of inv names inv first; every other fault points at rot
         key = "inv" if str(exc).startswith("inv ") else "rot"
         raise error(str(exc), fields[key][1]) from None
-    arrays = _Arrays(rot, inv, base, *position(fields["rot"][1]))
+    arrays = _Arrays(rot, inv, base, *position(fields["rot"][1]), table)
     if base is not None and not 0 <= base < n:
         _check_connected(arrays)
         raise error("base=%d out of range 0..%d" % (base, n - 1), fields["base"][1])

@@ -159,6 +159,15 @@ def test_general_size_10_census_is_pinned():
             == "150ae22b5d2096ee2e263239c86d3491a23e717b0ac7e7c79169439e8ded854b")
 
 
+def test_census_keeps_one_tuple_per_distinct_array():
+    # the general size-10 representatives share their arrays: one tuple per
+    # distinct rot array and per distinct inv array, not one per class
+    reps = enumerate_size(10, trivalent=False).class_representatives
+    assert len(reps) == 5916
+    assert len({id(d.rot) for d in reps}) == len({d.rot for d in reps}) == 470
+    assert len({id(d.inv) for d in reps}) == len({d.inv for d in reps}) == 895
+
+
 def test_general_flavor_representative_properties():
     for n in range(1, 6):
         report = enumerate_size(n, trivalent=False)

@@ -463,6 +463,26 @@ def test_parse_shares_one_int_per_arc():
     assert len({id(a) for a in d.rot + d.inv}) == 3000
 
 
+@pytest.mark.parametrize("first_size, second_size", [(1000, 1000), (1000, 400), (400, 1000)])
+def test_parse_maps_a_second_file_onto_the_first_files_ints(first_size, second_size):
+    # a relabeled copy parsed with the first file's table holds its int
+    # objects; a larger copy adds new ones only above the first file's arcs
+    first = _parse_arrays("n=%d; rot=%s; inv=%s" % (3 * first_size, *_chain(first_size)))
+    rot, inv = _chain(second_size)
+    perm = random.Random(second_size).sample(range(len(rot)), len(rot))
+    new_rot, new_inv = [0] * len(rot), [0] * len(rot)
+    for a in range(len(rot)):
+        new_rot[perm[a]] = perm[rot[a]]
+        new_inv[perm[a]] = perm[inv[a]]
+    second = _parse_arrays("n=%d; rot=%s; inv=%s" % (len(rot), new_rot, new_inv), first.arcs)
+    assert (second.rot, second.inv) == (tuple(new_rot), tuple(new_inv))
+    assert second.arcs == tuple(range(len(rot)))
+    for x in second.rot + second.inv:
+        assert x is second.arcs[x]
+        if x < len(first.arcs):
+            assert x is first.arcs[x]
+
+
 def _parse_outcome(text):
     try:
         arrays = _parse_arrays(text)
@@ -535,6 +555,30 @@ def test_parse_matches_the_naming_path(monkeypatch):
     assert fast == naming
     assert all(outcome[0] == "error" for outcome in fast[1::2])
     assert sum(outcome[0] == "arrays" for outcome in fast[::2]) > 1000
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 9])
+def test_parse_in_chunks_matches_the_naming_path(monkeypatch, chunk):
+    """With lists cut every few characters, so that cuts fall beside and
+    inside the planted tokens (some of them with commas of their own),
+    `_parse_arrays` still returns the same arrays or raises the same error
+    as the naming path, and maps a valid list in full."""
+    rng = random.Random(chunk)
+    texts = []
+    for _ in range(300):
+        clean, faulty = _faulty_text(rng)
+        token = rng.choice(['"1,2"', "[0,1]", '{"a":0,"b":1}', "[[0],[1]]", "[]", "1,"])
+        key = rng.choice(["rot=[", "inv=["])
+        cut = clean.index(key) + len(key)
+        cut = clean.index(",", cut) + 1 if rng.random() < 0.5 and "," in clean[cut:] else cut
+        texts += [clean, faulty, clean[:cut] + token + "," + clean[cut:]]
+    monkeypatch.setattr("trivalent.diagram._CHUNK", chunk)
+    chunked = [_parse_outcome(text) for text in texts]
+    big = _parse_arrays(_planted({}, {}))
+    assert all(x is big.arcs[x] for x in big.rot + big.inv)
+    monkeypatch.setattr("trivalent.diagram.itemgetter", _refuse)
+    assert chunked == [_parse_outcome(text) for text in texts]
+    assert all(outcome[0] == "error" for outcome in chunked[2::3])
 
 
 # --- barycentric subdivision --------------------------------------------------------
