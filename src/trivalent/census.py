@@ -43,24 +43,30 @@ every entry set, has its inv array compared the same way.  The same test
 decides at the leaf: the structure is kept exactly when no base is
 smaller, and then each base still tied relabels it to itself, i.e. is the
 image of arc 0 under an automorphism, so |Aut| is one more than their
-number.  Every leaf of the walk is therefore one (rot, inv, aut) triple,
-aut = |Aut| for a kept structure and 0 for a rejected one.  Unpruned, the
-walk has no base to test, so it cuts nothing and every leaf has aut = 1;
-`pointed_structures` is that stream.  `selftest` rebuilds the
-representatives by canonical code, and their |Aut| by canonical search, as
-the oracle of this rule.
+number.  `selftest` rebuilds the representatives by canonical code, and
+their |Aut| by canonical search, as the oracle of this rule.
+
+A tied base goes down as its tie state (i, order, label): order lists the
+arcs it has labeled, in label order, label maps each arc to its label (-1
+while unlabeled), and i is the position in order where its relabeling
+stopped: at the first unset entry it needs, or where the structure's own
+rot[i] is still unset (i = len(order) once every entry ties).  The next
+node resumes it at position i: set entries never change below a node and
+each labeling step is idempotent, so a base that is still blocked
+re-reads at most the three entries at order[i] and stops where it
+stopped.  A state is never written once it is made: an advance copies
+order and label on the first new label it assigns, so an advance that
+labels nothing new costs no copy, and the sibling branches below a node
+share the states they were given.
 
 The walk is plain recursion over the three shared arrays, and it hands
-each leaf to one collector, a list in walk order: `enumerate_size` has it
-keep only the leaves with aut > 0, so a rejected leaf is never copied,
-while `pointed_structures` and the tests see every leaf.  The collected
-leaves hold one tuple per distinct array (at general size 10, 470 rot and
-895 inv tuples for 5 916 classes), and `enumerate_size` writes the text of
-its sort key once per distinct array.  The search state of a tied base
-(its order and labels) is never written once it is made: an advance
-copies it on the first new label it assigns, so an advance that labels
-nothing new costs no copy, and the sibling branches below a node share
-the state they were given.
+each leaf to one list in walk order, one (rot, inv, aut) triple each.
+Pruned, it collects only the kept structures, with aut = |Aut|; unpruned,
+it has no base to test, so it cuts nothing and every leaf has aut = 1:
+`pointed_structures` is that stream.  The leaves hold one tuple per
+distinct array (at general size 10, 470 rot and 895 inv tuples for 5 916
+classes), and `enumerate_size` writes the text of its sort key once per
+distinct array.
 
 A `CensusReport` holds the kept leaves and derives every count from
 them.  Aut acts freely on the arcs, so a class holds n/|Aut| pointed
@@ -119,30 +125,12 @@ class CensusReport:
 
 
 def _still_tied(rot, pre, inv, tied):
-    """The bases of `tied` that still relabel the partial structure to its
-    own prefix, or None when one of them relabels it to a smaller one.
-
-    Each base is labeled breadth-first with [rot, rot^-1, inv] as in the
-    canonical search, up to the first unset entry it needs; entry i of its
-    rot array is compared with the structure's own rot[i] while that is
-    set, and once the rot arrays tie in full its inv array with the
-    structure's own.  A smaller entry cuts the branch, a larger one settles
-    the base for the whole subtree (it is dropped), and a base that reaches
-    an unset entry, or ties in full, stays tied.  An entry of `tied` is the
-    state where its search stopped: the unset entry array[index], the
-    position i, the order and the labels.  Set entries never change below a
-    node, so the search resumes at position i (its labeling steps are
-    idempotent) once that entry is set.  The order and labels of an entry
-    are never written once it is made: an advance copies them on its first
-    new label and writes the copies, so an advance that labels no new arc
-    keeps the old lists, and the sibling branches share them.
-    """
+    """The tie states of `tied` advanced over the current arrays: the list
+    of those still tied, or None when one of them relabels the structure to
+    a smaller prefix (the module docstring has the state and the rule)."""
     kept = []
     for entry in tied:
-        blocker, index, i, order, label = entry
-        if blocker[index] < 0:
-            kept.append(entry)
-            continue
+        i, order, label = entry
         shared = True  # order and label are still the entry's, not copies
         size = len(order)
         sign = 0
@@ -150,7 +138,6 @@ def _still_tied(rot, pre, inv, tied):
             x = order[i]
             y = rot[x]
             if y < 0:
-                blocker, index = rot, x
                 break
             r = label[y]
             if r < 0:
@@ -163,11 +150,9 @@ def _still_tied(rot, pre, inv, tied):
             if r != own:
                 if own >= 0:
                     sign = r - own
-                blocker, index = rot, i
                 break
             y = pre[x]
             if y < 0:
-                blocker, index = pre, x
                 break
             if label[y] < 0:
                 if shared:
@@ -177,7 +162,6 @@ def _still_tied(rot, pre, inv, tied):
                 size += 1
             y = inv[x]
             if y < 0:
-                blocker, index = inv, x
                 break
             if label[y] < 0:
                 if shared:
@@ -193,20 +177,19 @@ def _still_tied(rot, pre, inv, tied):
         if sign < 0:
             return None
         if sign == 0:
-            kept.append((blocker, index, i, order, label))
+            kept.append(entry if i == entry[0] and shared else (i, order, label))
     return kept
 
 
-def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
+def _walk(n: int, trivalent: bool, pruned: bool) -> list:
     """The backtracking walk behind the census: the list of its leaves in
     walk order, one (rot, inv, aut) triple each, rot and inv the image
     tuples in canonical labeling from arc 0 (one tuple object per distinct
-    array, shared by the leaves that hold it) and aut = |Aut| of a canonical
-    leaf, 0 for a rejected one (left out unless `rejected`).  Pruned, it
-    cuts every branch that a base b >= 1 already relabels to a smaller
-    prefix, and the leaves with aut > 0 are the class representatives.
-    Unpruned, it tests no base, so it cuts nothing and every leaf has aut
-    1: one rigid structure per pointed class."""
+    array, shared by the leaves that hold it).  Pruned, it cuts every branch
+    that a base b >= 1 relabels to a smaller prefix, and its leaves are the
+    class representatives with aut = |Aut|.  Unpruned, it tests no base, so
+    it cuts nothing and every leaf has aut 1: one rigid structure per
+    pointed class."""
     if n < 1:
         raise CensusSizeError("size must be >= 1, got %d" % n)
     rot = [-1] * n
@@ -223,13 +206,11 @@ def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
                 if a == used < n:     # a dead end: the discovered arcs close off short of n
                     return
                 tied = _still_tied(rot, pre, inv, tied)
-                if a == used:         # a leaf: all n arcs are expanded
-                    aut = 0 if tied is None else len(tied) + 1
-                    if aut or rejected:
-                        r, v = tuple(rot), tuple(inv)
-                        leaves.append((shared.setdefault(r, r), shared.setdefault(v, v), aut))
-                    return
                 if tied is None:
+                    return
+                if a == used:         # a leaf: all n arcs are expanded
+                    r, v = tuple(rot), tuple(inv)
+                    leaves.append((shared.setdefault(r, r), shared.setdefault(v, v), len(tied) + 1))
                     return
             fwd, bwd = stages[stage]
             if fwd[a] == -1:
@@ -263,7 +244,7 @@ def _walk(n: int, trivalent: bool, pruned: bool, rejected: bool = True) -> list:
         for b in range(1, n):
             label = [-1] * n
             label[b] = 0
-            tied.append((rot, b, 0, [b], label))
+            tied.append((0, [b], label))
     join(0, 0, 1, tied)
     # `join` refers to itself through its closure: clearing the cell breaks
     # that cycle, so the leaves die with the caller's last reference rather
@@ -284,16 +265,15 @@ def pointed_structures(n: int, trivalent: bool = True):
 def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
     """Construct all connected diagrams of size n.
 
-    Walks the pruned tree, which collects only the leaves with aut > 0,
-    each the representative of its unpointed class (canonical augmentation,
-    decided by the pruning test, which also gives its |Aut|), and sorts them
-    by canonical code; the report derives its counts from them.  Raises for
+    Walks the pruned tree, whose leaves are the representatives of the
+    unpointed classes (canonical augmentation, decided by the pruning test,
+    which also gives their |Aut|), and sorts them by canonical code; the report derives its counts from them.  Raises for
     sizes below 1 or beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:
         raise CensusSizeError("census size %d exceeds the cap %d" % (n, cap))
-    kept = _walk(n, trivalent, pruned=True, rejected=False)
+    kept = _walk(n, trivalent, pruned=True)
     # a kept structure is its own canonical form, so its code is `_encode`
     # of its arrays: "n;" (the same for all), then rot's text and ";" and
     # inv's text.  No rot text ending in ";" is a proper prefix of another,

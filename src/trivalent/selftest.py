@@ -706,9 +706,9 @@ def check_pointed_relations(rng, cases):
 def check_index_500(pointed, classes):
     """The series' index-500 coefficients against the frozen values."""
     if pointed[500] != reference.SUBGROUPS_INDEX_500:
-        _fail("weight-500", "index-500 subgroup count mismatch")
+        _fail("modular-vs-fraction-500", "index-500 subgroup count mismatch")
     if classes[500] != reference.CONJUGACY_CLASSES_INDEX_500:
-        _fail("weight-500", "index-500 class count mismatch")
+        _fail("modular-vs-fraction-500", "index-500 class count mismatch")
     print("  index-500 subgroups: %d" % pointed[500])
     print("  index-500 classes:   %d" % classes[500])
 

@@ -25,11 +25,12 @@ from trivalent.diagram import (
 )
 from trivalent.selftest import brute_canonical_form, brute_relabeling, brute_transitive_pairs
 
-# leaves the pruned walk reaches per size: fewer would mean a sharper rule,
-# more that a branch a smaller base already settles is no longer cut
-PRUNED_LEAVES = {
-    True: [1, 1, 3, 8, 2, 14, 21, 8, 46, 97, 46, 221],
-    False: [1, 3, 6, 19, 39, 109, 279, 878],
+# `_still_tied` calls the pruned walk makes per size, one per arc node it
+# reaches: fewer would mean a sharper rule, more that a branch a smaller
+# base already settles is no longer cut
+TIE_TESTS = {
+    True: [1, 2, 11, 30, 34, 81, 132, 146, 329, 597, 739, 1629],
+    False: [1, 6, 20, 71, 206, 615, 1749, 5321],
 }
 
 
@@ -76,17 +77,72 @@ def test_unpruned_walk_leaves_are_rigid(trivalent, max_size):
 
 
 @pytest.mark.parametrize("trivalent", [True, False], ids=["trivalent", "general"])
-def test_pruned_walk_cuts_only_non_canonical_structures(trivalent):
-    for n, count in enumerate(PRUNED_LEAVES[trivalent], 1):
-        leaves = [(rot, inv) for rot, inv, _ in _walk(n, trivalent, pruned=True)]
-        assert len(leaves) == count
-        stream = list(pointed_structures(n, trivalent))
-        kept = set(leaves)
-        # the same walk, in the same order, minus the cut branches
-        assert [s for s in stream if s in kept] == leaves
-        for rot, inv in stream:
-            if (rot, inv) not in kept:
-                assert canonical_code(Diagram(rot, inv)) != _encode(n, rot, inv)
+def test_pruned_walk_cuts_only_non_canonical_structures(monkeypatch, trivalent):
+    original = census._still_tied
+    calls = 0
+
+    def counted(rot, pre, inv, tied):
+        nonlocal calls
+        calls += 1
+        return original(rot, pre, inv, tied)
+
+    monkeypatch.setattr(census, "_still_tied", counted)
+    walks, counts = [], []
+    for n in range(1, len(TIE_TESTS[trivalent]) + 1):
+        calls = 0
+        walks.append([(rot, inv) for rot, inv, _ in _walk(n, trivalent, pruned=True)])
+        counts.append(calls)
+    assert counts == TIE_TESTS[trivalent]
+    # each walk is the unpruned stream, in the same order, minus every
+    # structure that is not its diagram's canonical form
+    for n, leaves in enumerate(walks, 1):
+        assert leaves == [s for s in pointed_structures(n, trivalent)
+                          if canonical_code(Diagram(*s)) == _encode(n, *s)]
+
+
+def _advance_from_scratch(rot, pre, inv, b):
+    """Base b's breadth-first relabeling, as far as the set entries reach:
+    (sign, state), the sign < 0 when it relabels the structure to a smaller
+    prefix, > 0 to a larger one, and 0 while it ties, with its state
+    (i, order, label)."""
+    order, label = [b], [-1] * len(rot)
+    label[b] = 0
+    for i, x in enumerate(order):
+        for k, y in enumerate((rot[x], pre[x], inv[x])):
+            if y < 0:
+                return 0, (i, order, label)
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+            if k == 0 and label[y] != rot[i]:
+                return (0 if rot[i] < 0 else label[y] - rot[i]), (i, order, label)
+    new_inv = [label[inv[x]] for x in order]
+    return (new_inv > inv) - (new_inv < inv), (len(order), order, label)
+
+
+@pytest.mark.parametrize("trivalent, max_size", [(True, 10), (False, 7)],
+                         ids=["trivalent", "general"])
+def test_tie_test_resumes_where_a_fresh_advance_stops(monkeypatch, trivalent, max_size):
+    # each tie state resumes where its base stopped at the node above; it
+    # must end where the same base, advanced from scratch, ends
+    original = census._still_tied
+    nodes = 0
+
+    def checked(rot, pre, inv, tied):
+        nonlocal nodes
+        fresh = [_advance_from_scratch(rot, pre, inv, order[0]) for _, order, _ in tied]
+        result = original(rot, pre, inv, tied)
+        if any(sign < 0 for sign, _ in fresh):
+            assert result is None
+        else:
+            assert result == [state for sign, state in fresh if sign == 0]
+        nodes += 1
+        return result
+
+    monkeypatch.setattr(census, "_still_tied", checked)
+    for n in range(1, max_size + 1):
+        _walk(n, trivalent, pruned=True)
+    assert nodes > 0
 
 
 @pytest.mark.parametrize("trivalent, max_size", [(True, 10), (False, 7)],
@@ -99,9 +155,9 @@ def test_tie_test_never_writes_the_states_it_is_given(monkeypatch, trivalent, ma
 
     def checked(rot, pre, inv, tied):
         nonlocal nodes
-        before = [(entry[3][:], entry[4][:]) for entry in tied]
+        before = [(entry[1][:], entry[2][:]) for entry in tied]
         result = original(rot, pre, inv, tied)
-        assert [(entry[3], entry[4]) for entry in tied] == before
+        assert [(entry[1], entry[2]) for entry in tied] == before
         nodes += 1
         return result
 

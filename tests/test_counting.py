@@ -12,9 +12,9 @@ from trivalent.counting import (
     disconnected_egf_by_recurrence,
     subgroup_series,
 )
-from trivalent import counting
-from trivalent.selftest import (SelfTestFailure, brute_commuting, check_modular_vs_fraction,
-                                check_parity_laws)
+from trivalent import counting, reference
+from trivalent.selftest import (SelfTestFailure, brute_commuting, check_index_500,
+                                check_modular_vs_fraction, check_parity_laws)
 from trivalent.series import TruncSeries
 
 Q = Fraction
@@ -150,6 +150,17 @@ def test_parity_laws_catch_one_flipped_coefficient(monkeypatch, general):
     with pytest.raises(SelfTestFailure, match="^parity-laws: %s s_37 is %s$"
                        % ("general" if general else "trivalent", "even" if general else "odd")):
         check_parity_laws(60)
+
+
+@pytest.mark.parametrize("wrong", ["subgroup", "class"])
+def test_index_500_check_fails_under_the_name_of_its_check(wrong):
+    # `selftest full` runs `check_index_500` as its modular-vs-fraction-500
+    # check, so a wrong index-500 value is reported under that name
+    pointed = {500: reference.SUBGROUPS_INDEX_500 + (wrong == "subgroup")}
+    classes = {500: reference.CONJUGACY_CLASSES_INDEX_500 + (wrong == "class")}
+    with pytest.raises(SelfTestFailure,
+                       match="^modular-vs-fraction-500: index-500 %s count mismatch$" % wrong):
+        check_index_500(pointed, classes)
 
 
 def test_general_series_compute_no_modulus(monkeypatch):
