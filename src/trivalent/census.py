@@ -205,7 +205,7 @@ def _walk(n: int, trivalent: bool, pruned: bool) -> list:
                 a, stage = a + 1, 0
                 if a == used < n:     # a dead end: the discovered arcs close off short of n
                     return
-                tied = _still_tied(rot, pre, inv, tied)
+                tied = tied and _still_tied(rot, pre, inv, tied)  # no base tied: [] stays []
                 if tied is None:
                     return
                 if a == used:         # a leaf: all n arcs are expanded
@@ -267,8 +267,9 @@ def enumerate_size(n: int, trivalent: bool = True) -> CensusReport:
 
     Walks the pruned tree, whose leaves are the representatives of the
     unpointed classes (canonical augmentation, decided by the pruning test,
-    which also gives their |Aut|), and sorts them by canonical code; the report derives its counts from them.  Raises for
-    sizes below 1 or beyond the cap.
+    which also gives their |Aut|), and sorts them by canonical code; the
+    report derives its counts from them.  Raises for sizes below 1 or
+    beyond the cap.
     """
     cap = CENSUS_CAP_TRIVALENT if trivalent else CENSUS_CAP_GENERAL
     if n > cap:

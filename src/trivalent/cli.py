@@ -72,14 +72,6 @@ class UsageError(Exception):
 # coefficient cache (advisory: deleting or damaging it never changes output)
 
 
-def _cache_path(kind: str, general: bool) -> str | None:
-    directory = os.environ.get(CACHE_ENV)
-    if not directory:
-        return None
-    name = "count-%s%s.json" % (kind, "-general" if general else "")
-    return os.path.join(directory, name)
-
-
 def _digest(coefficient_strings) -> str:
     # imported here: loading it (OpenSSL) took about 5 ms of each cold start
     # on a 2-core x86 host, and only runs that use the cache need it
@@ -88,17 +80,12 @@ def _digest(coefficient_strings) -> str:
     return hashlib.sha256("\n".join(coefficient_strings).encode("ascii")).hexdigest()
 
 
-def _load_cached(path: str, kind: str, general: bool):
+def _load_cached(path: str, table: dict):
     try:
         with open(path, "r", encoding="ascii") as handle:
             data = json.load(handle)
         strings = data["coefficients"]
-        if (
-            data["format_version"] != CACHE_FORMAT_VERSION
-            or data["kind"] != kind
-            or data["general"] != general
-            or data["max"] != len(strings)
-        ):
+        if any(data[key] != value for key, value in table.items()) or data["max"] != len(strings):
             raise ValueError("inconsistent cache fields")
         if data["sha256"] != _digest(strings):
             raise ValueError("coefficient digest mismatch")
@@ -116,15 +103,8 @@ def _load_cached(path: str, kind: str, general: bool):
         return None
 
 
-def _store_cached(path: str, kind: str, general: bool, strings) -> None:
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "kind": kind,
-        "general": general,
-        "max": len(strings),
-        "coefficients": strings,
-        "sha256": _digest(strings),
-    }
+def _store_cached(path: str, table: dict, strings) -> None:
+    payload = dict(table, max=len(strings), coefficients=strings, sha256=_digest(strings))
     try:
         # write a temporary file beside the cache, then rename it into place,
         # so a reader never sees a half-written table
@@ -144,17 +124,21 @@ def _store_cached(path: str, kind: str, general: bool, strings) -> None:
 
 def _count_coefficients(kind: str, max_order: int, general: bool):
     """Decimal strings of the coefficients n = 1..max_order, cache first."""
-    path = _cache_path(kind, general)
-    if path is not None:
-        cached = _load_cached(path, kind, general)
+    # the fields that name a cached table: a file is served only if all match
+    table = {"format_version": CACHE_FORMAT_VERSION, "kind": kind, "general": general}
+    directory = os.environ.get(CACHE_ENV)
+    name = "count-%s%s.json" % (kind, "-general" if general else "")
+    path = directory and os.path.join(directory, name)
+    if path:
+        cached = _load_cached(path, table)
         if cached is not None and len(cached) >= max_order:
             return cached[:max_order]
     compute = counting.subgroup_series if kind == "pointed" else counting.conjugacy_class_series
     # str(Decimal(c)) is str(c) for an int c >= 0, without the interpreter's
     # int/str digit limit, which general coefficients pass from index 2833
     strings = [str(Decimal(c)) for c in compute(max_order, general).integer_coefficients()[1:]]
-    if path is not None:
-        _store_cached(path, kind, general, strings)
+    if path:
+        _store_cached(path, table, strings)
     return strings
 
 

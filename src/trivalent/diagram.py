@@ -482,11 +482,12 @@ def _find(parent: list, x: int) -> int:
     return root
 
 
-def _merge_orbits(parent: list, perm) -> None:
-    """Join x with perm[x] for every arc, so that the classes of `parent`
-    become the orbits of the group generated by the permutations merged so
-    far; each class keeps its least arc as root."""
-    for x, y in enumerate(perm):
+def _merge_orbits(parent: list, pairs) -> None:
+    """Join x with y for each (x, y) of `pairs`, all the arc pairs of a
+    permutation, so that the classes of `parent` become the orbits of the
+    group generated by the permutations merged so far; each class keeps its
+    least arc as root."""
+    for x, y in pairs:
         rx, ry = _find(parent, x), _find(parent, y)
         if rx < ry:
             parent[ry] = rx
@@ -545,7 +546,7 @@ def _lockstep_winner(rot, rot_inv, inv, bases, parent: list) -> int:
             d = _trusted_diagram(rot, inv)
             automorphism, _ = _close(d, first, d, alive[1][1][0])
             if automorphism is not None:
-                _merge_orbits(parent, automorphism)
+                _merge_orbits(parent, enumerate(automorphism))
                 alive = alive[:1] + [state for state in alive[1:]
                                      if _find(parent, state[1][0]) != first]
     return alive[0][1][0]
@@ -618,11 +619,8 @@ def _canonical_form(rot, inv) -> tuple:
             new_inv = [label[inv[x]] for x in order]
             if not tied or new_inv < best_inv:
                 best_rot, best_inv, best_order = new_rot, new_inv, order
-            elif new_inv == best_inv:
-                automorphism = [0] * n
-                for x, y in zip(best_order, order):
-                    automorphism[x] = y
-                _merge_orbits(parent, automorphism)
+            elif new_inv == best_inv:  # the automorphism best_order[j] -> order[j]
+                _merge_orbits(parent, zip(best_order, order))
         for x in order:
             label[x] = -1
     return tuple(best_rot), tuple(best_inv), parent, best_order[0]
@@ -702,7 +700,7 @@ def normality_conflict(d: Diagram) -> Optional[MorphismConflict]:
         m, conflict = _close(d, 0, d, a)
         if m is None:
             return conflict
-        _merge_orbits(parent, m)
+        _merge_orbits(parent, enumerate(m))
     return None
 
 

@@ -230,6 +230,45 @@ def test_cache_roundtrip_and_advisory(tmp_path, monkeypatch, capsys):
     assert first == third
 
 
+# the bytes of two cache files as written: a table is named by its format
+# version, kind and flavor, and a file written earlier must stay valid
+CACHE_FILES = {
+    ("pointed", False): (
+        '{"format_version": 2, "kind": "pointed", "general": false, "max": 3, '
+        '"coefficients": ["1", "1", "4"], '
+        '"sha256": "097f614cef451bcb8aa13c3e33b32a0ffc8c88b9efbadec4ee1502ee7bdcd335"}'
+    ),
+    ("classes", True): (
+        '{"format_version": 2, "kind": "classes", "general": true, "max": 3, '
+        '"coefficients": ["1", "3", "3"], '
+        '"sha256": "7f368a145df78b7638426938cf22f79a72eb648c716d698be1906afc66042135"}'
+    ),
+}
+
+
+class _NoCounting:
+    def __getattr__(self, name):
+        raise AssertionError("the cached table was recomputed")
+
+
+@pytest.mark.parametrize("kind, general", [("pointed", False), ("classes", True)],
+                         ids=["pointed", "classes-general"])
+def test_cache_file_bytes_are_pinned_and_served(tmp_path, monkeypatch, capsys, kind, general):
+    argv = ["count", kind, "--max", "3"] + ["--general"] * general
+    name = "count-%s%s.json" % (kind, "-general" if general else "")
+    expected = CACHE_FILES[kind, general].encode("ascii")
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "written"))
+    code, computed, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "written" / name).read_bytes() == expected
+    # a file with exactly these bytes is served without any counting
+    (tmp_path / "given").mkdir()
+    (tmp_path / "given" / name).write_bytes(expected)
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "given"))
+    monkeypatch.setattr(cli, "counting", _NoCounting())
+    assert run(capsys, *argv) == (0, computed, "")
+
+
 def test_corrupt_cache_recovers(tmp_path, monkeypatch, capsys):
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
