@@ -146,16 +146,12 @@ def _count_coefficients(kind: str, max_order: int, general: bool):
 # verb handlers
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload))
-
-
 def _cmd_count(args) -> int:
     if not 1 <= args.max <= MAX_COUNT_INDEX:
         raise UsageError("--max must be in 1..%d, got %d" % (MAX_COUNT_INDEX, args.max))
     coefficients = _count_coefficients(args.kind, args.max, args.general)
-    _emit({"kind": args.kind, "max": args.max, "general": args.general,
-           "coefficients": coefficients})
+    print(json.dumps({"kind": args.kind, "max": args.max, "general": args.general,
+                      "coefficients": coefficients}))
     return EXIT_OK
 
 
@@ -178,7 +174,7 @@ def _cmd_census(args) -> int:
             payload["representatives_dot"] = [
                 barycentric_graph(d).to_dot() for d in reps
             ]
-    _emit(payload)
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -278,7 +274,7 @@ def _cmd_decide(args) -> int:
             % (args.relation, arity, "s" if arity > 1 else "", len(args.files))
         )
     result, witness = decide(args.files)
-    _emit({"relation": args.relation, "result": result, "witness": witness})
+    print(json.dumps({"relation": args.relation, "result": result, "witness": witness}))
     return EXIT_OK
 
 

@@ -134,14 +134,16 @@ class Diagram:
         return all(rot[rot[rot[a]]] == a for a in range(self.n))
 
     def relabel(self, perm) -> "Diagram":
-        """Conjugate both permutations by `perm` (arc i becomes perm[i])."""
+        """Conjugate both permutations by `perm` (arc i becomes perm[i]).
+        Conjugation keeps permutations, the involution and transitivity, so
+        only `perm` is checked."""
         perm = _check_permutation("perm", perm, self.n)
         rot = [0] * self.n
         inv = [0] * self.n
         for a in range(self.n):
             rot[perm[a]] = perm[self.rot[a]]
             inv[perm[a]] = perm[self.inv[a]]
-        return Diagram(rot, inv)
+        return _trusted_diagram(tuple(rot), tuple(inv))
 
     def to_text(self) -> str:
         return "n=%d; rot=[%s]; inv=[%s]" % (
@@ -268,11 +270,12 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
     mapped onto one table of n int objects as soon as it is read, a chunk
     of text at a time (`_map_onto`), so the parsed file holds one int per
     arc, shared by both arrays, and the parse never holds one per entry of
-    the list.  `arcs` is the
-    table of an earlier file: this file's table is its first n ints, or all
-    of them and new ones after, so the files of one decision share one int
-    per arc; the result carries the table it used.  A list's text is
-    dropped once the list is parsed, and only its offset is kept."""
+    the list.  `arcs` is the table of an earlier file: this file's table is
+    its first n ints, or all of them and new ones after, so the files of one
+    decision share one int per arc; the result carries the table it used.
+    Each field's text is kept in `values` until the field is parsed (a
+    list's text is dropped then), and its offset in `offsets`, which every
+    error that points at a field reads."""
 
     def position(offset):
         # 1-based line and column of the first non-space character at or
@@ -288,7 +291,7 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
             message = message[:150] + "..."
         return DiagramParseError(message, *position(offset))
 
-    fields = {}
+    values, offsets = {}, {}
     offset = 0
     for segment in text.split(";"):
         seg_offset = offset
@@ -300,14 +303,14 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
         key, _, value = segment.partition("=")
         key = key.strip()
         value = "".join(value.split())
-        if key in fields:
+        if key in values:
             raise error("duplicate field %r" % key, seg_offset)
         if key not in ("n", "rot", "inv", "base"):
             raise error("unknown field %r" % key, seg_offset)
-        fields[key] = (value, seg_offset)
+        values[key], offsets[key] = value, seg_offset
 
     for required in ("n", "rot", "inv"):
-        if required not in fields:
+        if required not in values:
             raise error("missing field %r" % required, len(text))
 
     def parse_json(value):
@@ -318,10 +321,9 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
             return None
 
     def parse_int(key):
-        value, seg_offset = fields[key]
-        number = parse_json(value)
+        number = parse_json(values[key])
         if type(number) is not int:
-            raise error("field %r is not an integer: %r" % (key, value), seg_offset)
+            raise error("field %r is not an integer: %r" % (key, values[key]), offsets[key])
         return number
 
     table = None  # the file's one int object per arc, n of them by rot's length
@@ -332,10 +334,9 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
         # the checks that name a fault (a list of the wrong length is
         # named by the length check after both lists are read)
         nonlocal table
-        value, seg_offset = fields[key]
-        fields[key] = (None, seg_offset)  # errors need only the offset
+        value = values.pop(key)
         if not (value.startswith("[") and value.endswith("]")):
-            raise error("field %r must be a bracketed list" % key, seg_offset)
+            raise error("field %r must be a bracketed list" % key, offsets[key])
         if table is None:
             # a list of ints has one entry more than it has commas; any other
             # rot list is refused below, before the table is used
@@ -352,16 +353,16 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
                 return mapped
         entries = parse_json(value)
         if entries is None or not {int}.issuperset(map(type, entries)):
-            raise error("field %r has a non-integer entry" % key, seg_offset)
+            raise error("field %r has a non-integer entry" % key, offsets[key])
         return entries
 
     n = parse_int("n")
     rot = parse_list("rot")
     inv = parse_list("inv")
-    base = parse_int("base") if "base" in fields else None
+    base = parse_int("base") if "base" in values else None
     if len(rot) != n or len(inv) != n:
         raise error("n=%d but rot has %d entries and inv has %d" % (n, len(rot), len(inv)),
-                    fields["n"][1])
+                    offsets["n"])
     try:
         # with both lists mapped, rot is a permutation when its set has n
         # entries, and inv an involution (so a permutation) when inv of inv
@@ -372,11 +373,11 @@ def _parse_arrays(text: str, arcs: tuple = ()) -> _Arrays:
     except ValueError as exc:
         # a fault of inv names inv first; every other fault points at rot
         key = "inv" if str(exc).startswith("inv ") else "rot"
-        raise error(str(exc), fields[key][1]) from None
-    arrays = _Arrays(rot, inv, base, *position(fields["rot"][1]), table)
+        raise error(str(exc), offsets[key]) from None
+    arrays = _Arrays(rot, inv, base, *position(offsets["rot"]), table)
     if base is not None and not 0 <= base < n:
         _check_connected(arrays)
-        raise error("base=%d out of range 0..%d" % (base, n - 1), fields["base"][1])
+        raise error("base=%d out of range 0..%d" % (base, n - 1), offsets["base"])
     return arrays
 
 
@@ -714,6 +715,21 @@ def is_normal(d: Diagram) -> bool:
 # barycentric subdivision export
 
 
+def _orbit_numbers(perm) -> tuple:
+    """(number, count): number[a] is the index of arc a's orbit under the
+    permutation `perm` when the orbits are taken in the order of their least
+    arcs, and count is the number of orbits."""
+    number = [-1] * len(perm)
+    count = 0
+    for a in range(len(perm)):
+        if number[a] < 0:
+            while number[a] < 0:  # around the orbit, back to a
+                number[a] = count
+                a = perm[a]
+            count += 1
+    return number, count
+
+
 class BicoloredGraph(NamedTuple):
     """A bipartite graph with black vertices (from diagram vertices) and
     white vertices (from edges), one graph edge per arc."""
@@ -740,23 +756,6 @@ def barycentric_graph(d: Diagram) -> BicoloredGraph:
     """Insert a white vertex in the middle of every edge: black vertices are
     the rot-orbits, white vertices the inv-orbits, one edge per arc.  Both
     kinds are numbered in the order of their least arcs."""
-    black_of = [-1] * d.n
-    black_count = 0
-    for a in range(d.n):
-        if black_of[a] < 0:
-            b = a
-            while black_of[b] < 0:
-                black_of[b] = black_count
-                b = d.rot[b]
-            black_count += 1
-    white_of = [-1] * d.n
-    white_count = 0
-    for a in range(d.n):
-        if white_of[a] < 0:
-            white_of[a] = white_of[d.inv[a]] = white_count
-            white_count += 1
-    return BicoloredGraph(
-        black_count=black_count,
-        white_count=white_count,
-        edges=tuple((black_of[a], white_of[a]) for a in range(d.n)),
-    )
+    black_of, black_count = _orbit_numbers(d.rot)
+    white_of, white_count = _orbit_numbers(d.inv)
+    return BicoloredGraph(black_count, white_count, tuple(zip(black_of, white_of)))

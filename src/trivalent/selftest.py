@@ -355,10 +355,7 @@ def brute_relabeling(d, base):
     label = [-1] * d.n
     label[base] = 0
     order = [base]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
+    for x in order:  # the list grows while it is walked
         for g in (rot, rot_inv, inv):
             y = g[x]
             if label[y] < 0:
@@ -369,13 +366,8 @@ def brute_relabeling(d, base):
 
 def brute_code_tuple(d, base):
     """The (rot, inv) pair of `d` relabeled from `base`, built in full."""
-    label = brute_relabeling(d, base)
-    rot_new = [0] * d.n
-    inv_new = [0] * d.n
-    for a in range(d.n):
-        rot_new[label[a]] = label[d.rot[a]]
-        inv_new[label[a]] = label[d.inv[a]]
-    return tuple(rot_new), tuple(inv_new)
+    relabeled = d.relabel(brute_relabeling(d, base))
+    return relabeled.rot, relabeled.inv
 
 
 def brute_canonical_form(d):

@@ -102,11 +102,16 @@ def test_pointed_diagram_and_census_report_are_immutable():
 
 @pytest.mark.parametrize("trivalent, n", [(True, 8), (False, 6)], ids=["trivalent", "general"])
 def test_trusted_diagram_equals_the_validated_one(trivalent, n):
+    # `relabel` builds its result unchecked too
+    rng = random.Random(n)
     for rot, inv in pointed_structures(n, trivalent):
         trusted, checked = _trusted_diagram(rot, inv), Diagram(rot, inv)
         assert type(trusted) is Diagram
         assert trusted == checked and hash(trusted) == hash(checked)
         assert (trusted.n, trusted.rot, trusted.inv) == (checked.n, checked.rot, checked.inv)
+        relabeled = checked.relabel(rng.sample(range(n), n))
+        assert Diagram(relabeled.rot, relabeled.inv) == relabeled
+        assert type(relabeled.rot) is type(relabeled.inv) is tuple
     with pytest.raises(AttributeError):
         trusted.n = 5
 
