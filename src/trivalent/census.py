@@ -75,8 +75,6 @@ and by rigidity there are (n-1)! labeled structures per pointed class.  A
 class is normal exactly when Aut is arc-transitive, i.e. when |Aut| = n.
 """
 
-from __future__ import annotations
-
 import math
 
 from .diagram import _trusted_diagram

@@ -18,8 +18,6 @@ mismatch, or a `ValueError` from the pipelines: every user-input path raises
 `InputError`, `DiagramParseError` or `census.CensusSizeError` instead).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

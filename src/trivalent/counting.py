@@ -45,19 +45,19 @@ k·B_m has 9, 107, 304 and 670 bits at m = 10, 100, 250 and 499.  `_lift`
 refuses an n·c_n that is not n times a count between 0 and its a priori
 bound (`_bounds`).  A wrong trivalent residue escapes it with probability
 about n·2^-64 (`_log_derivative`); a wrong general kernel gives small wrong
-integers, which that argument does not cover.  On a 2-core x86 host with
-Python 3.11.7 the index-500 series take 0.03–0.16 s each.  Their oracle is
-`selftest.check_modular_vs_fraction`: one `TruncSeries.log` of each
-`_condensed_column` on `Fraction`s checks each kernel, trivalent residues
-included, and both series.
+integers, which that argument does not cover, so Hall's recursion
+(`selftest.check_hall_general`) checks the general pointed counts
+exactly to order 1000, in tier 1 and in `selftest full`.  On a 2-core x86
+host with Python 3.11.7 the index-500 series take 0.03–0.16 s each.  Their
+oracle is `selftest.check_modular_vs_fraction`: one `TruncSeries.log` of
+each `_condensed_column` on `Fraction`s checks each kernel, trivalent
+residues included, and both series.
 
 The six-term recurrence for a*_n (quartic/quintic polynomial coefficients)
 mirrors the holonomic equation satisfied by the defining exponentials; it is
 seeded with the first six values and cross-checked against the closed form
 in the tests, each route validating the other.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 import math

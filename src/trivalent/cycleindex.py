@@ -21,8 +21,6 @@ dense Burnside oracle from the latter and `centralizer_order`.  A cycle type
 is a plain tuple of (length, multiplicity) pairs, as `cycle_types` yields it.
 """
 
-from __future__ import annotations
-
 import math
 
 #: The dense route sums over every cycle type of weight <= N and refuses
@@ -69,23 +67,16 @@ def commuting_order_p_counts(p: int, k: int, n_max: int) -> list:
     kp = k ** (p - 1)
     out = [1] * (n_max + 1)
     for m in range(1, n_max + 1):
-        v = chi * out[m - 1]
+        out[m] = chi * out[m - 1]
         if m >= p:
-            fall = 1
-            for j in range(1, p):
-                fall *= m - j
-            v += kp * fall * out[m - p]
-        out[m] = v
+            out[m] += kp * math.perm(m - 1, p - 1) * out[m - p]
     return out
 
 
 def centralizer_order(ctype) -> int:
     """prod k^m·m! over the (k, m) pairs of a cycle type: the order of the
     centralizer in the symmetric group of a permutation of that type."""
-    z = 1
-    for k, m in ctype:
-        z *= k**m * math.factorial(m)
-    return z
+    return math.prod(k**m * math.factorial(m) for k, m in ctype)
 
 
 def count_commuting_order_p(p: int, ctype) -> int:
@@ -95,7 +86,4 @@ def count_commuting_order_p(p: int, ctype) -> int:
     The count only depends on the cycle type, and factors over the distinct
     cycle lengths of the type.
     """
-    total = 1
-    for k, m in ctype:
-        total *= commuting_order_p_counts(p, k, m)[m]
-    return total
+    return math.prod(commuting_order_p_counts(p, k, m)[m] for k, m in ctype)

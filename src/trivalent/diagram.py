@@ -47,8 +47,6 @@ automorphisms found so far, runs a closure only for an arc outside it, and
 stops at the first failed closure.
 """
 
-from __future__ import annotations
-
 import json
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -116,13 +114,11 @@ class Diagram:
 
     __slots__ = ("n", "rot", "inv")
 
-    def __init__(self, rot, inv):
+    def __new__(cls, rot, inv):
         rot, inv = _check_arrays(rot, inv)
         if not _transitive(rot, inv):
             raise ValueError("diagram is not connected")
-        object.__setattr__(self, "n", len(rot))
-        object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "inv", inv)
+        return _trusted_diagram(rot, inv)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -167,7 +163,8 @@ class Diagram:
 def _trusted_diagram(rot: tuple, inv: tuple) -> Diagram:
     """A `Diagram` on image tuples already known to be permutations, inv an
     involution, acting transitively: equal to `Diagram(rot, inv)`, built
-    without re-checking them."""
+    without re-checking them.  `Diagram.__new__` returns it after its checks,
+    so this is the one place that sets a Diagram's fields."""
     d = object.__new__(Diagram)
     object.__setattr__(d, "n", len(rot))
     object.__setattr__(d, "rot", rot)

@@ -14,14 +14,13 @@ canonical codes, and last the parity laws of the pointed counts to order
 500; `full` adds the order-50 tables, census size 9, the recurrence against
 the closed form to order 500, and both series and the column kernels
 against `Fraction` and the frozen values at 500 (`modular-vs-fraction-500`),
-and takes the parity laws to order 1000.
+the general pointed counts against Hall's recursion to order 1000
+(`hall-general-1000`), and takes the parity laws to order 1000.
 
 Each check is a public function taking its sizes (and, when randomized, the
 `random.Random` to draw from), so the test suite runs these same oracles with
 its own seeds and bounds.  A check raises `SelfTestFailure` on a mismatch.
 """
-
-from __future__ import annotations
 
 import contextlib
 import io
@@ -32,6 +31,7 @@ import random
 import tempfile
 import time
 from fractions import Fraction
+from operator import mul
 
 from . import census, cli, counting, diagram, reference
 from .cycleindex import count_commuting_order_p, cycle_types, cycle_types_up_to
@@ -168,6 +168,25 @@ def check_parity_laws(order):
             if counts[n] % 2 != (general or n in odd):
                 _fail("parity-laws", "%s s_%d is %s" % ("general" if general else "trivalent",
                                                       n, "odd" if counts[n] % 2 else "even"))
+
+
+def check_hall_general(order):
+    """The general pointed counts s_n, n = 1..order, against Hall's
+    recursion (M. Hall Jr., Canad. J. Math. 1 (1949)) on the homomorphisms
+    h_n = n!·I_2(n) of the free product of Z and Z/2 into S_n:
+    s_n = n·I_2(n) - sum_{k<n} I_2(n-k)·s_k, with I_2(n) = I_2(n-1) +
+    (n-1)·I_2(n-2) the involution counts.  The recursion takes exact integers
+    only, with no log, inverse series, modulus or `counting` helper, so it is
+    independent of `counting._general_log_derivative` at any order."""
+    involutions = [1, 1]
+    for n in range(2, order + 1):
+        involutions.append(involutions[n - 1] + (n - 1) * involutions[n - 2])
+    counts = counting.subgroup_series(order, general=True).integer_coefficients()
+    hall = [0]
+    for n in range(1, order + 1):
+        hall.append(n * involutions[n] - sum(map(mul, involutions[n - 1:0:-1], hall[1:n])))
+        if counts[n] != hall[n]:
+            _fail("hall-general", "general s_%d differs at order %d" % (n, order))
 
 
 def check_census(max_size):
@@ -737,6 +756,7 @@ def run_selftest(full: bool) -> bool:
             ("census-size-9", lambda: check_census(9)),
             ("recurrence-order-500", lambda: check_recurrence(500)),
             ("modular-vs-fraction-500", lambda: check_index_500(*check_modular_vs_fraction(500))),
+            ("hall-general-1000", lambda: check_hall_general(1000)),
         ]
     checks.append(("parity-laws", lambda: check_parity_laws(1000 if full else 500)))
     for name, check in checks:

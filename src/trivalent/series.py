@@ -17,8 +17,6 @@ through here: `counting` sums exact integer column logs (only its trivalent
 kernel works modulo a prime power) and wraps the counts in a `TruncSeries`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -66,8 +64,7 @@ class TruncSeries:
             raise ValueError(
                 "got %d coefficients for truncation order %d" % (len(coeffs), order)
             )
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + (_ZERO,) * (order + 1 - len(coeffs))
+        coeffs += (_ZERO,) * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -13,8 +13,8 @@ from trivalent.counting import (
     subgroup_series,
 )
 from trivalent import counting, reference
-from trivalent.selftest import (SelfTestFailure, brute_commuting, check_index_500,
-                                check_modular_vs_fraction, check_parity_laws)
+from trivalent.selftest import (SelfTestFailure, brute_commuting, check_hall_general,
+                                check_index_500, check_modular_vs_fraction, check_parity_laws)
 from trivalent.series import TruncSeries
 
 Q = Fraction
@@ -101,12 +101,13 @@ def test_column_kernels_equal_fraction_logs_to_150():
     check_modular_vs_fraction(150)
 
 
-def _with_one_entry_off(kernel, column):
-    """`kernel` with entry 2 of its output for column k = `column` raised by 1."""
+def _with_one_entry_off(kernel, column, entry=2):
+    """`kernel` with entry `entry` of its output for column k = `column`
+    raised by 1."""
     def wrong(k, *args):
         out = kernel(k, *args)
         if k == column:
-            out[2] += 1
+            out[entry] += 1
         return out
     return wrong
 
@@ -150,6 +151,21 @@ def test_parity_laws_catch_one_flipped_coefficient(monkeypatch, general):
     with pytest.raises(SelfTestFailure, match="^parity-laws: %s s_37 is %s$"
                        % ("general" if general else "trivalent", "even" if general else "odd")):
         check_parity_laws(60)
+
+
+def test_general_pointed_counts_equal_halls_recursion_to_1000():
+    check_hall_general(1000)
+
+
+def test_halls_recursion_catches_a_general_entry_within_its_bound(monkeypatch):
+    # k = 1 entry 600 is s_600 itself, so s_600 + 1 is still a count within
+    # the bound 600·I_2(600) and `_lift` accepts it; Hall's recursion does not
+    s_600 = subgroup_series(600, True)[600]
+    monkeypatch.setattr(counting, "_general_log_derivative",
+                        _with_one_entry_off(counting._general_log_derivative, 1, 600))
+    assert subgroup_series(1000, True)[600] == s_600 + 1
+    with pytest.raises(SelfTestFailure, match="^hall-general: general s_600 differs at order 1000$"):
+        check_hall_general(1000)
 
 
 @pytest.mark.parametrize("wrong", ["subgroup", "class"])

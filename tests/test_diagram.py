@@ -109,6 +109,10 @@ def test_trusted_diagram_equals_the_validated_one(trivalent, n):
         assert type(trusted) is Diagram
         assert trusted == checked and hash(trusted) == hash(checked)
         assert (trusted.n, trusted.rot, trusted.inv) == (checked.n, checked.rot, checked.inv)
+        # `__new__` takes any iterables and stores tuples
+        built = Diagram(list(rot), iter(inv))
+        assert built == trusted and hash(built) == hash(trusted)
+        assert type(built.rot) is type(built.inv) is tuple
         relabeled = checked.relabel(rng.sample(range(n), n))
         assert Diagram(relabeled.rot, relabeled.inv) == relabeled
         assert type(relabeled.rot) is type(relabeled.inv) is tuple
